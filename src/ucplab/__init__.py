@@ -63,5 +63,5 @@ from .model import (
     evaluate,
     orthogonal,
 )
-from .scalars import Scalar, cd_conj, cd_mul, cd_norm, multiplication_table
+from .scalars import cd_conj, cd_mul, cd_norm, multiplication_table
 from .search import SearchConfig, classify, enumerate_logics, run_search

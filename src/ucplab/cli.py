@@ -15,25 +15,13 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 
 from . import __version__, interference, jordan
 from .jordan import AlgebraDescriptor
+from .scalars import LEVELS
 from .search import SearchConfig, run_search
-
-LEVELS = ("R", "C", "H", "O")
-
-
-def _threads():
-    raw = os.environ.get("UCPLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"UCPLAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _add_model_flags(parser, default_trials):
@@ -43,14 +31,13 @@ def _add_model_flags(parser, default_trials):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def _descriptor(parser, args):
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be a positive finite number")
     try:
         return AlgebraDescriptor(args.algebra, args.dim)
     except Exception as exc:
@@ -74,7 +61,6 @@ def _report(args, payload):
             "trials": args.trials,
             "seed": args.seed,
             "tol": args.tol,
-            "threads": _threads(),
         },
         **payload,
     }
@@ -208,6 +194,7 @@ def build_parser():
     p_corr = sub.add_parser("corridor", help="sample the probability corridor")
     _add_model_flags(p_corr, default_trials=1000)
     p_corr.add_argument("--classical", action="store_true")
+    p_corr.add_argument("--format", choices=("json", "csv"), default=None)
 
     p_i3 = sub.add_parser("i3", help="sweep the third-order map on random triples")
     _add_model_flags(p_i3, default_trials=1000)

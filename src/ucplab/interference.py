@@ -1,18 +1,28 @@
-"""Interference terms, the conditional-probability bound corridor, the
-symmetry condition, and the lemma verification battery.
+"""Interference terms, the conditional-probability corridor, the symmetry
+condition, and the identity batteries for the compression maps.
 
 All the maps here are linear on the Hermitian elements of a matrix model:
 
   U_e x = 2 e o (e o x) - e o x        (conditionalization / compression)
-  S_e x = 2 U_e x + 2 U_e' x - x       (its positivity gives the corridor)
-  T_e x = (x + U_e x - U_e' x) / 2     (multiplication-by-e in quantum models)
+  S_e = 2 U_e + 2 U_e' - id            (its positivity gives the corridor)
+  T_e = (id + U_e - U_e') / 2          (multiplication-by-e in quantum models)
   I2(e1, e2) = U_{e1+e2} - U_{e1} - U_{e2}
   I3(e1, e2, e3) = U_{e1+e2+e3} - sum of pair terms + sum of single terms
 
-Each map is available as a closure on (batched) coordinate arrays and as a
-dense matrix over the orthonormal Hermitian basis.  The seven terms of the
-third-order map are built independently, so its vanishing is a genuine
-numerical fact and not an algebraic simplification.
+They are evaluated on one of two paths.
+
+Dense layer.  `_u_dense` applies U_g once to every element of
+`jordan.hermitian_basis` and returns U_g as a batched (..., D, D) matrix acting
+on coordinate columns.  `LinearOperator` holds one such matrix, and the
+basis-wide batteries (`lemma_suite`, `t_structure_battery`,
+`i3_basis_norm_max`) state every identity as sums and `@` products of them.
+`_i3_dense` builds each of the seven U terms of the third-order map on its
+own, so its vanishing is a numerical fact and not an algebraic cancellation.
+
+Vector path.  `corridor_sample`, `corridor_samples`, `symmetry_battery`,
+`a1_check` and `eq10_check` apply `jordan._u_apply` directly to the (batched)
+elements they draw.  They have no basis axis, and a dense build costs D
+applications (D = 27 for H_3(O)), so the large corridor batches stay on it.
 """
 
 from __future__ import annotations
@@ -33,24 +43,22 @@ from .jordan import (
     _identity,
     _inner,
     _jp,
+    _matmul,
     _random_elements,
     _rng,
     _separated_spectral_batch,
     _trace,
     _u_apply,
+    coords,
+    from_coords,
     hermitian_basis,
+    quadratic_map_U,
 )
 from .model import State
 
 
 class NotOrthogonalError(ValueError):
     pass
-
-
-def _require_idempotent(desc, e, tol=1e-6):
-    diff = _jp(e, e, desc.table) - e
-    if np.abs(diff).max() > tol * (1.0 + np.abs(e).max()):
-        raise NotIdempotentError("event must be idempotent")
 
 
 def _require_orthogonal(desc, *events, tol=1e-6):
@@ -62,88 +70,110 @@ def _require_orthogonal(desc, *events, tol=1e-6):
                 raise NotOrthogonalError("events must be mutually orthogonal")
 
 
+def _worst(arr) -> float:
+    """Largest absolute entry of a defect array (0 for an empty one)."""
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def _random_projections(rng, idem, parts=None):
+    """Projections summed from one spectral batch `idem` (trials, n, n, n, d).
+
+    With parts=None each primitive idempotent enters one projection under an
+    independent 0/1 mask.  With parts=k each is assigned to one of k bins or
+    to a leftover bin, giving k mutually orthogonal projections per trial.
+    """
+    trials, n = idem.shape[:2]
+    if parts is None:
+        masks = [rng.integers(0, 2, (trials, n)).astype(float)]
+    else:
+        labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
+        masks = [(labels == k).astype(float) for k in range(parts)]
+    return [np.einsum("bi,bijkc->bjkc", mask, idem) for mask in masks]
+
+
+# ---------------------------------------------------------------------------
+# dense layer
+# ---------------------------------------------------------------------------
+
+
+def _u_dense(desc: AlgebraDescriptor, g) -> np.ndarray:
+    """U_g as (..., D, D) column-action matrices over `hermitian_basis`.
+
+    g holds raw idempotents with any leading batch axes; column b of each
+    matrix is the coordinate vector of U_g applied to basis element b.
+    """
+    basis = hermitian_basis(desc)
+    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis, desc.table)
+    return np.einsum("aijc,...bijc->...ab", basis, images)
+
+
+def _t_dense(u, u_comp) -> np.ndarray:
+    """T_e = (id + U_e - U_e') / 2 from the dense U_e and U_e'."""
+    return 0.5 * (np.eye(u.shape[-1]) + u - u_comp)
+
+
+def _i3_dense(desc: AlgebraDescriptor, g1, g2, g3) -> np.ndarray:
+    """The seven-term third-order map, each compression built on its own."""
+    return (
+        _u_dense(desc, g1 + g2 + g3)
+        - _u_dense(desc, g1 + g2)
+        - _u_dense(desc, g2 + g3)
+        - _u_dense(desc, g1 + g3)
+        + _u_dense(desc, g1)
+        + _u_dense(desc, g2)
+        + _u_dense(desc, g3)
+    )
+
+
+def _elements(columns, desc: AlgebraDescriptor) -> np.ndarray:
+    """Raw elements (..., n, n, d) from coordinate columns (..., D, 1)."""
+    return np.einsum("...a,aijc->...ijc", columns[..., 0], hermitian_basis(desc))
+
+
 @dataclass(frozen=True)
 class LinearOperator:
-    """Linear map on the Hermitian elements, applied via a closure.
+    """Linear map on the Hermitian elements of one model.
 
-    The closure operates on raw coordinate arrays and broadcasts over
-    leading batch axes.
+    `matrix` is its dense (D, D) column action on coordinates over
+    `jordan.hermitian_basis`.
     """
 
     descriptor: AlgebraDescriptor
-    apply_raw: callable
+    matrix: np.ndarray
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.descriptor, self.apply_raw(x.entries))
-
-    def basis_matrix(self) -> np.ndarray:
-        """Dense matrix over the orthonormal Hermitian basis (column action)."""
-        basis = hermitian_basis(self.descriptor)
-        images = self.apply_raw(basis)
-        return np.einsum("aijc,bijc->ab", basis, images)
+        return from_coords(self.matrix @ coords(x, self.descriptor), self.descriptor)
 
 
 def U_operator(e: AlgebraElement) -> LinearOperator:
-    desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    ee = e.entries
-    return LinearOperator(desc, lambda x: _u_apply(ee, x, desc.table))
+    if not jordan.is_idempotent(e):
+        raise NotIdempotentError("event must be idempotent")
+    return LinearOperator(e.descriptor, _u_dense(e.descriptor, e.entries))
 
 
 def S_map(e: AlgebraElement) -> LinearOperator:
     """S_e = 2 U_e + 2 U_e' - id."""
-    desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    ee = e.entries
-    ec = _identity(desc) - ee
-    table = desc.table
-    return LinearOperator(
-        desc, lambda x: 2.0 * _u_apply(ee, x, table) + 2.0 * _u_apply(ec, x, table) - x
-    )
+    u, u_comp = U_operator(e).matrix, U_operator(model.complement(e)).matrix
+    return LinearOperator(e.descriptor, 2.0 * u + 2.0 * u_comp - np.eye(len(u)))
 
 
 def T_map(e: AlgebraElement) -> LinearOperator:
     """T_e = (id + U_e - U_e') / 2."""
-    desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    ee = e.entries
-    ec = _identity(desc) - ee
-    table = desc.table
-    return LinearOperator(
-        desc, lambda x: 0.5 * (x + _u_apply(ee, x, table) - _u_apply(ec, x, table))
-    )
+    u, u_comp = U_operator(e).matrix, U_operator(model.complement(e)).matrix
+    return LinearOperator(e.descriptor, _t_dense(u, u_comp))
 
 
 def I2_operator(e1: AlgebraElement, e2: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
-    _require_orthogonal(desc, e1.entries, e2.entries)
     a, b = e1.entries, e2.entries
-    table = desc.table
-
-    def apply(x):
-        return _u_apply(a + b, x, table) - _u_apply(a, x, table) - _u_apply(b, x, table)
-
-    return LinearOperator(desc, apply)
+    _require_orthogonal(desc, a, b)
+    return LinearOperator(desc, _u_dense(desc, a + b) - _u_dense(desc, a) - _u_dense(desc, b))
 
 
 def I3_operator(e1: AlgebraElement, e2: AlgebraElement, e3: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
     _require_orthogonal(desc, e1.entries, e2.entries, e3.entries)
-    a, b, c = e1.entries, e2.entries, e3.entries
-    table = desc.table
-
-    def apply(x):
-        return (
-            _u_apply(a + b + c, x, table)
-            - _u_apply(a + b, x, table)
-            - _u_apply(b + c, x, table)
-            - _u_apply(a + c, x, table)
-            + _u_apply(a, x, table)
-            + _u_apply(b, x, table)
-            + _u_apply(c, x, table)
-        )
-
-    return LinearOperator(desc, apply)
+    return LinearOperator(desc, _i3_dense(desc, e1.entries, e2.entries, e3.entries))
 
 
 def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
@@ -151,37 +181,14 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     the third-order map.
 
     Each triple is three disjoint sums of primitive idempotents of one
-    random spectral decomposition; the seven terms of the map are applied
-    to the full orthonormal Hermitian basis, so the returned value is the
-    entrywise max-norm of the dense matrices.
+    random spectral decomposition; trials run in chunks of 200.
     """
     rng = _rng(seed)
-    n, table = desc.n, desc.table
-    basis = hermitian_basis(desc)
     worst = 0.0
     for start in range(0, trials, 200):
         count = min(200, trials - start)
         _, idem = _separated_spectral_batch(desc, rng, count)
-        m1, m2, m3 = _random_partition_masks(rng, count, n, 3)
-        g1 = np.einsum("bi,bijkc->bjkc", m1, idem)[:, None]
-        g2 = np.einsum("bi,bijkc->bjkc", m2, idem)[:, None]
-        g3 = np.einsum("bi,bijkc->bjkc", m3, idem)[:, None]
-        bx = np.broadcast_to(basis, (count,) + basis.shape)
-
-        def u(g, y):
-            return _u_apply(g, y, table)
-
-        image = (
-            u(g1 + g2 + g3, bx)
-            - u(g1 + g2, bx)
-            - u(g2 + g3, bx)
-            - u(g1 + g3, bx)
-            + u(g1, bx)
-            + u(g2, bx)
-            + u(g3, bx)
-        )
-        dense = np.einsum("aijc,bnijc->bna", basis, image)
-        worst = max(worst, float(np.abs(dense).max()))
+        worst = max(worst, _worst(_i3_dense(desc, *_random_projections(rng, idem, parts=3))))
     return worst
 
 
@@ -222,20 +229,12 @@ class CorridorPoint:
     lower_ok: bool  # q >= 2p - 1
     upper_ok: bool  # q <= 2p
 
-    def row(self):
-        return (self.p, self.q, self.lower_ok, self.upper_ok)
-
 
 def corridor_sample(mu: State, e: AlgebraElement, f: AlgebraElement, tol=1e-9) -> CorridorPoint:
-    desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    table = desc.table
-    ec = _identity(desc) - e.entries
-    p = float(
-        _inner(mu.density.entries, _u_apply(e.entries, f.entries, table))
-        + _inner(mu.density.entries, _u_apply(ec, f.entries, table))
+    p = model.evaluate(mu, quadratic_map_U(e, f)) + model.evaluate(
+        mu, quadratic_map_U(model.complement(e), f)
     )
-    q = float(_inner(mu.density.entries, f.entries))
+    q = model.evaluate(mu, f)
     return CorridorPoint(p, q, q >= 2 * p - 1 - tol, q <= 2 * p + tol)
 
 
@@ -258,12 +257,8 @@ def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=Fal
         e[:, idx, idx, 0] = rng.integers(0, 2, (trials, n)).astype(float)
         f[:, idx, idx, 0] = rng.integers(0, 2, (trials, n)).astype(float)
     else:
-        _, idem = _separated_spectral_batch(desc, rng, trials)
-        mask_e = rng.integers(0, 2, (trials, n)).astype(float)
-        e = np.einsum("bi,bijkc->bjkc", mask_e, idem)
-        _, idem_f = _separated_spectral_batch(desc, rng, trials)
-        mask_f = rng.integers(0, 2, (trials, n)).astype(float)
-        f = np.einsum("bi,bijkc->bjkc", mask_f, idem_f)
+        (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+        (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
         x = _random_elements(desc, rng, trials)
         sq = _jp(x, x, table)
         rho = sq / _trace(sq)[:, None, None, None]
@@ -295,7 +290,7 @@ def saturating_configuration(desc: AlgebraDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# symmetry condition
+# symmetry condition (vector path)
 # ---------------------------------------------------------------------------
 
 
@@ -303,47 +298,53 @@ def _onorm(x, desc):
     return float(np.abs(_eigenvalues_raw(_hermitize(x), desc)).max())
 
 
+def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
+    """Defect arrays of the identities named in `symmetry_battery`, listed
+    under its keys, for raw (batched) projections e and f."""
+    table = desc.table
+    one = _identity(desc)
+    lhs = _u_apply(e, one - f, table) + _u_apply(one - e, f, table)
+    rhs = _u_apply(f, one - e, table) + _u_apply(one - f, e, table)
+    ue_f, uec_f = _u_apply(e, f, table), _u_apply(one - e, f, table)
+    uf_e, ufc_e = _u_apply(f, e, table), _u_apply(one - f, e, table)
+    t_e_f = 0.5 * (f + ue_f - uec_f)
+    t_f_e = 0.5 * (e + uf_e - ufc_e)
+    i2_difference = (f - ue_f - uec_f) - (e - uf_e - ufc_e)
+    defects = {
+        "compression_symmetry": [lhs - rhs, t_e_f - t_f_e],
+        "second_order_difference": [i2_difference - (2.0 * uf_e - 2.0 * ue_f)],
+    }
+    if desc.level != "O":
+        anticomm = e + f - _matmul(e, f, table) - _matmul(f, e, table)
+        defects["anticommutator_form"] = [lhs - anticomm, rhs - anticomm]
+    return defects
+
+
 def a1_check(e: AlgebraElement, f: AlgebraElement) -> float:
     """Residual of U_e f' + U_e' f = U_f e' + U_f' e, plus cross-checks.
 
-    Returns the largest of: the order-unit norm of the defect, the defect of
-    the equivalent symmetric form T_e f = T_f e, and (associative levels
-    only) the distance of both sides from e + f - ef - fe.
+    Returns the largest order-unit norm of: the defect, the defect of the
+    equivalent symmetric form T_e f = T_f e, and (associative levels only)
+    the distance of both sides from e + f - ef - fe.
     """
+    if not (jordan.is_idempotent(e) and jordan.is_idempotent(f)):
+        raise NotIdempotentError("events must be idempotent")
     desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    _require_idempotent(desc, f.entries)
-    table = desc.table
-    one = _identity(desc)
-    ee, ff = e.entries, f.entries
-    lhs = _u_apply(ee, one - ff, table) + _u_apply(one - ee, ff, table)
-    rhs = _u_apply(ff, one - ee, table) + _u_apply(one - ff, ee, table)
-    residual = _onorm(lhs - rhs, desc)
-    t_defect = _onorm(T_map(e).apply_raw(ff) - T_map(f).apply_raw(ee), desc)
-    residual = max(residual, t_defect)
-    if desc.level != "O":
-        from .jordan import _matmul
-
-        anticomm = ee + ff - _matmul(ee, ff, table) - _matmul(ff, ee, table)
-        residual = max(residual, _onorm(lhs - anticomm, desc), _onorm(rhs - anticomm, desc))
-    return residual
+    defects = _symmetry_defects(e.entries, f.entries, desc)
+    return max(
+        _onorm(d, desc)
+        for key in ("compression_symmetry", "anticommutator_form")
+        for d in defects.get(key, ())
+    )
 
 
 def eq10_check(e: AlgebraElement, f: AlgebraElement) -> float:
     """Residual of I2(e, e') f - I2(f, f') e = 2 U_f e - 2 U_e f."""
+    if not (jordan.is_idempotent(e) and jordan.is_idempotent(f)):
+        raise NotIdempotentError("events must be idempotent")
     desc = e.descriptor
-    _require_idempotent(desc, e.entries)
-    _require_idempotent(desc, f.entries)
-    table = desc.table
-    one = _identity(desc)
-    ee, ff = e.entries, f.entries
-
-    def i2_cc(g, x):  # I2(g, g') x = x - U_g x - U_g' x
-        return x - _u_apply(g, x, table) - _u_apply(one - g, x, table)
-
-    lhs = i2_cc(ee, ff) - i2_cc(ff, ee)
-    rhs = 2.0 * _u_apply(ff, ee, table) - 2.0 * _u_apply(ee, ff, table)
-    return _onorm(lhs - rhs, desc)
+    (defect,) = _symmetry_defects(e.entries, f.entries, desc)["second_order_difference"]
+    return _onorm(defect, desc)
 
 
 def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
@@ -356,41 +357,15 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     `anticommutator_form` (both sides equal e + f - ef - fe).
     """
     rng = _rng(seed)
-    n, table = desc.n, desc.table
-    one = _identity(desc)
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+    defects = _symmetry_defects(e, f, desc)
+    return {key: max(_worst(d) for d in arrays) for key, arrays in defects.items()}
 
-    def u(g, y):
-        return _u_apply(g, y, table)
 
-    _, idem_e = _separated_spectral_batch(desc, rng, trials)
-    e = np.einsum("bi,bijkc->bjkc", rng.integers(0, 2, (trials, n)).astype(float), idem_e)
-    _, idem_f = _separated_spectral_batch(desc, rng, trials)
-    f = np.einsum("bi,bijkc->bjkc", rng.integers(0, 2, (trials, n)).astype(float), idem_f)
-
-    lhs = u(e, one - f) + u(one - e, f)
-    rhs = u(f, one - e) + u(one - f, e)
-    res = {"compression_symmetry": float(np.abs(lhs - rhs).max())}
-    t_e_f = 0.5 * (f + u(e, f) - u(one - e, f))
-    t_f_e = 0.5 * (e + u(f, e) - u(one - f, e))
-    res["compression_symmetry"] = max(
-        res["compression_symmetry"], float(np.abs(t_e_f - t_f_e).max())
-    )
-
-    def i2_cc(g, x):
-        return x - u(g, x) - u(one - g, x)
-
-    lhs2 = i2_cc(e, f) - i2_cc(f, e)
-    rhs2 = 2.0 * u(f, e) - 2.0 * u(e, f)
-    res["second_order_difference"] = float(np.abs(lhs2 - rhs2).max())
-
-    if desc.level != "O":
-        from .jordan import _matmul
-
-        anticomm = e + f - _matmul(e, f, table) - _matmul(f, e, table)
-        res["anticommutator_form"] = max(
-            float(np.abs(lhs - anticomm).max()), float(np.abs(rhs - anticomm).max())
-        )
-    return res
+# ---------------------------------------------------------------------------
+# basis-wide batteries (dense layer)
+# ---------------------------------------------------------------------------
 
 
 def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
@@ -402,53 +377,27 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     above 1) and `witness_gap` (T_e e = e, so the norm 1 is attained).
     """
     rng = _rng(seed)
-    n, table = desc.n, desc.table
-    one = _identity(desc)
-    basis = hermitian_basis(desc)
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+    u_e, u_ec = _u_dense(desc, e), _u_dense(desc, _identity(desc) - e)
+    t_e = _t_dense(u_e, u_ec)
 
-    def u(g, y):
-        return _u_apply(g, y, table)
-
-    def t(g, y):
-        return 0.5 * (y + u(g, y) - u(one - g, y))
-
-    _, idem = _separated_spectral_batch(desc, rng, trials)
-    mask = rng.integers(0, 2, (trials, n)).astype(float)
-    e = np.einsum("bi,bijkc->bjkc", mask, idem)
-    e_b = e[:, None]
-    bx = np.broadcast_to(basis, (trials,) + basis.shape)
-
-    t_im = t(e_b, bx)
-    dense = np.einsum("aijc,bnijc->bna", basis, t_im)
-    eigs = np.linalg.eigvalsh(dense)
+    eigs = np.linalg.eigvalsh(t_e)
     targets = np.array([0.0, 0.5, 1.0])
     spectrum = float(np.abs(eigs[..., None] - targets).min(axis=-1).max())
 
-    quad = 2.0 * t(e_b, t_im) - t_im - u(e_b, bx)
-    partition = t(e_b, bx) + t(one - e_b, bx) - bx
-
     x = _random_elements(desc, rng, trials)
     x = x / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None, None]
-    tx_norm = np.abs(_eigenvalues_raw(_hermitize(t(e, x)), desc)).max()
+    tx = _elements(t_e @ coords(x, desc)[..., None], desc)
+    tx_norm = np.abs(_eigenvalues_raw(_hermitize(tx), desc)).max()
+    ce = coords(e, desc)[..., None]
 
     return {
         "spectrum": spectrum,
-        "quadratic_relation": float(np.abs(quad).max()),
-        "partition": float(np.abs(partition).max()),
+        "quadratic_relation": _worst(2.0 * t_e @ t_e - t_e - u_e),
+        "partition": _worst(t_e + _t_dense(u_ec, u_e) - np.eye(desc.basis_dim)),
         "norm_excess": max(0.0, float(tx_norm) - 1.0),
-        "witness_gap": float(np.abs(t(e, e) - e).max()),
+        "witness_gap": _worst(t_e @ ce - ce),
     }
-
-
-# ---------------------------------------------------------------------------
-# lemma battery
-# ---------------------------------------------------------------------------
-
-
-def _random_partition_masks(rng, trials, n, parts):
-    """Random assignment of the n primitive idempotents into `parts` bins."""
-    labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
-    return [(labels == k).astype(float) for k in range(parts)]
 
 
 def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
@@ -466,89 +415,55 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
       g) operator norm of T_e: witness T_e e = e, sampled unit ball stays below 1
     """
     rng = _rng(seed)
-    n, table = desc.n, desc.table
     one = _identity(desc)
-    basis = hermitian_basis(desc)  # (D, n, n, d)
-
     _, idem = _separated_spectral_batch(desc, rng, trials)
-    m_e, m_f = _random_partition_masks(rng, trials, n, 2)
-    e = np.einsum("bi,bijkc->bjkc", m_e, idem)
-    f_orth = np.einsum("bi,bijkc->bjkc", m_f, idem)
-    f_above = e + f_orth  # e below f_above by construction
+    e, f = _random_projections(rng, idem, parts=2)
     x = _random_elements(desc, rng, trials)
+    g1, g2, g3 = _random_projections(rng, idem, parts=3)
 
-    def u(g, y):
-        return _u_apply(g, y, table)
-
-    def t(g, y):
-        return 0.5 * (y + u(g, y) - u(one - g, y))
-
-    def worst(arr):
-        return float(np.abs(arr).max()) if arr.size else 0.0
+    e_f = e + f  # e below e + f, and f orthogonal to e
+    u_e, u_f, u_ef = _u_dense(desc, e), _u_dense(desc, f), _u_dense(desc, e_f)
+    u_ec, u_fc, u_efc = _u_dense(desc, one - e), _u_dense(desc, one - f), _u_dense(desc, one - e_f)
+    t_e, t_f, t_ef = _t_dense(u_e, u_ec), _t_dense(u_f, u_fc), _t_dense(u_ef, u_efc)
+    ce, cf, c_ef, cx = (coords(a, desc)[..., None] for a in (e, f, e_f, x))
 
     res = {}
 
     # (a) comparable pairs
-    res["below_uf_e"] = worst(u(e, f_above) - e)
-    res["below_ue_from_f"] = worst(u(f_above, e) - e)
-    bx = np.broadcast_to(basis, (trials,) + basis.shape)
-    e_b = e[:, None]
-    f_ab = f_above[:, None]
-    res["below_ueuf"] = worst(u(e_b, u(f_ab, bx)) - u(e_b, bx))
-    res["below_ufue"] = worst(u(f_ab, u(e_b, bx)) - u(e_b, bx))
+    res["below_uf_e"] = _worst(u_ef @ ce - ce)
+    res["below_ue_from_f"] = _worst(u_e @ c_ef - ce)
+    res["below_ueuf"] = _worst(u_e @ u_ef - u_e)
+    res["below_ufue"] = _worst(u_ef @ u_e - u_e)
 
     # (b) orthogonal pairs
-    f_b = f_orth[:, None]
-    res["orth_uef"] = worst(u(e, f_orth))
-    res["orth_ufe"] = worst(u(f_orth, e))
-    res["orth_ueuf"] = worst(u(e_b, u(f_b, bx)))
-    res["orth_ufue"] = worst(u(f_b, u(e_b, bx)))
-    comp_sum = one - e - f_orth
+    res["orth_uef"] = _worst(u_e @ cf)
+    res["orth_ufe"] = _worst(u_f @ ce)
+    res["orth_ueuf"] = _worst(u_e @ u_f)
+    res["orth_ufue"] = _worst(u_f @ u_e)
     res["orth_complement_product"] = max(
-        worst(u(one - e_b, u(one - f_b, bx)) - u(comp_sum[:, None], bx)),
-        worst(u(one - f_b, u(one - e_b, bx)) - u(comp_sum[:, None], bx)),
+        _worst(u_ec @ u_fc - u_efc), _worst(u_fc @ u_ec - u_efc)
     )
 
     # (c) commuting multiplication maps
-    res["t_commute"] = worst(t(e_b, t(f_b, bx)) - t(f_b, t(e_b, bx)))
+    res["t_commute"] = _worst(t_e @ t_f - t_f @ t_e)
 
     # (d) third-order identities on a basis
-    m1, m2, m3 = _random_partition_masks(rng, trials, n, 3)
-    g1 = np.einsum("bi,bijkc->bjkc", m1, idem)[:, None]
-    g2 = np.einsum("bi,bijkc->bjkc", m2, idem)[:, None]
-    g3 = np.einsum("bi,bijkc->bjkc", m3, idem)[:, None]
-
-    def i3(a, b, c, y):
-        return (
-            u(a + b + c, y)
-            - u(a + b, y)
-            - u(b + c, y)
-            - u(a + c, y)
-            + u(a, y)
-            + u(b, y)
-            + u(c, y)
-        )
-
-    lhs = i3(g1, g2, g3, bx)
-    rhs = u(g1 + g2 + g3, i3(one - g2 - g3, g2, g3, bx))
-    res["i3_factorization"] = worst(lhs - rhs)
-    pair_lhs = t(e_b, bx) + t(f_b, bx) - t(e_b + f_b, bx)
-    pair_rhs = 0.5 * i3(e_b, f_b, one - e_b - f_b, bx)
-    res["t_defect_is_i3"] = worst(pair_lhs - pair_rhs)
+    factored = _u_dense(desc, g1 + g2 + g3) @ _i3_dense(desc, one - g2 - g3, g2, g3)
+    res["i3_factorization"] = _worst(_i3_dense(desc, g1, g2, g3) - factored)
+    res["t_defect_is_i3"] = _worst(t_e + t_f - t_ef - 0.5 * _i3_dense(desc, e, f, one - e_f))
 
     # (e) T additivity on orthogonal pairs
-    res["t_additive"] = worst(t(e_b + f_b, bx) - t(e_b, bx) - t(f_b, bx))
+    res["t_additive"] = _worst(t_ef - t_e - t_f)
 
     # (f) partition of the identity and compression absorption
-    res["t_partition"] = worst(t(e, x) + t(one - e, x) - x)
-    res["t_absorbs_u"] = worst(t(e_b, u(e_b, bx)) - u(e_b, bx))
-    res["t_kills_u_comp"] = worst(t(e_b, u(one - e_b, bx)))
+    res["t_partition"] = _worst((t_e + _t_dense(u_ec, u_e)) @ cx - cx)
+    res["t_absorbs_u"] = _worst(t_e @ u_e - u_e)
+    res["t_kills_u_comp"] = _worst(t_e @ u_ec)
 
     # (g) operator norm of T_e: witness plus sampled unit ball
-    res["t_fixes_e"] = worst(t(e, e) - e)
-    norms = np.abs(_eigenvalues_raw(x, desc)).max(axis=(-1,))
-    unit = x / norms[:, None, None, None]
-    tx = t(e, unit)
+    res["t_fixes_e"] = _worst(t_e @ ce - ce)
+    unit = cx / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None]
+    tx = _elements(t_e @ unit, desc)
     res["t_norm_excess"] = max(
         0.0, float(np.abs(_eigenvalues_raw(_hermitize(tx), desc)).max() - 1.0)
     )

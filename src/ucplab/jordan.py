@@ -16,12 +16,11 @@ associative.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import DIM_LEVEL, LEVEL_DIM, LEVELS, cd_conj, multiplication_table
+from .scalars import LEVEL_DIM, LEVELS, cd_conj, multiplication_table
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
@@ -268,22 +267,6 @@ class AlgebraElement:
     def is_hermitian(self, tol=DEFAULT_TOL) -> bool:
         return bool(np.abs(self.entries - _hermitize(self.entries)).max() <= tol)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "level": self.descriptor.level,
-                "n": self.descriptor.n,
-                "entries": self.entries.ravel().tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlgebraElement":
-        data = json.loads(text)
-        desc = AlgebraDescriptor(data["level"], int(data["n"]))
-        entries = np.array(data["entries"], dtype=float).reshape(desc.n, desc.n, desc.d)
-        return cls(desc, entries)
-
 
 @dataclass(frozen=True)
 class SpectralForm:
@@ -368,16 +351,6 @@ def order_unit_norm(x: AlgebraElement) -> float:
 
 def is_positive(x: AlgebraElement, tol=DEFAULT_TOL) -> bool:
     return bool(eigenvalues(x).min() >= -tol * (1.0 + np.abs(x.entries).max()))
-
-
-def power(x: AlgebraElement, n: int) -> AlgebraElement:
-    """Jordan power x^(n+1) = x o x^n, with x^0 the identity."""
-    if n < 0:
-        raise ValueError("power needs n >= 0")
-    acc = identity(x.descriptor)
-    for _ in range(n):
-        acc = jordan_product(x, acc)
-    return acc
 
 
 # ---------------------------------------------------------------------------

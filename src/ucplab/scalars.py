@@ -7,18 +7,12 @@ fixed by the recursion alone.  The table can be dumped as CSV for auditing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 LEVELS = ("R", "C", "H", "O")
 LEVEL_DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
-DIM_LEVEL = {v: k for k, v in LEVEL_DIM.items()}
-
-
-class LevelMismatchError(ValueError):
-    """Raised when two scalars from different algebra levels are combined."""
 
 
 @lru_cache(maxsize=None)
@@ -61,79 +55,6 @@ def cd_conj(a: np.ndarray) -> np.ndarray:
 def cd_norm(a: np.ndarray) -> np.ndarray:
     """Composition norm: sum of squared coordinates."""
     return (np.asarray(a, dtype=float) ** 2).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An element of R, C, H or O in Cayley-Dickson coordinates."""
-
-    coords: tuple
-    level: str
-
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ValueError(f"unknown level {self.level!r}")
-        if len(self.coords) != LEVEL_DIM[self.level]:
-            raise ValueError(
-                f"level {self.level} needs {LEVEL_DIM[self.level]} coordinates, "
-                f"got {len(self.coords)}"
-            )
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-    @classmethod
-    def from_real(cls, value: float, level: str) -> "Scalar":
-        coords = [float(value)] + [0.0] * (LEVEL_DIM[level] - 1)
-        return cls(tuple(coords), level)
-
-    @classmethod
-    def unit(cls, index: int, level: str) -> "Scalar":
-        coords = [0.0] * LEVEL_DIM[level]
-        coords[index] = 1.0
-        return cls(tuple(coords), level)
-
-    def _check(self, other: "Scalar"):
-        if self.level != other.level:
-            raise LevelMismatchError(f"{self.level} vs {other.level}")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(tuple(self.array + other.array), self.level)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(tuple(self.array - other.array), self.level)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(tuple(-c for c in self.coords), self.level)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            self._check(other)
-            table = multiplication_table(LEVEL_DIM[self.level])
-            return Scalar(tuple(cd_mul(self.array, other.array, table)), self.level)
-        return Scalar(tuple(float(other) * c for c in self.coords), self.level)
-
-    __rmul__ = __mul__
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def conj(a: Scalar) -> Scalar:
-    return Scalar(tuple(cd_conj(a.array)), a.level)
-
-
-def real_part(a: Scalar) -> float:
-    return a.coords[0]
-
-
-def norm(a: Scalar) -> float:
-    return float(cd_norm(a.array))
 
 
 def dump_multiplication_table(level: str = "O") -> str:

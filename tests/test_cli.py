@@ -43,11 +43,20 @@ def test_verify_fails_on_impossible_tolerance(capsys):
         ("verify", "--trials", "0"),
         ("verify", "--tol", "0"),
         ("i3", "--algebra", "Q"),
+        ("verify", "--format", "csv"),
     ],
 )
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(list(argv))
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "corridor", "i3"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(command, tol):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--algebra", "R", "--dim", "2", "--trials", "3", "--tol", tol])
     assert err.value.code == 2
 
 
@@ -132,19 +141,6 @@ def test_outputs_to_file(tmp_path, capsys):
     assert code == 0
     assert printed == ""
     assert json.loads(out_file.read_text())["command"] == "i3"
-
-
-def test_threads_env_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("UCPLAB_THREADS", "8")
-    code, out = run(capsys, "i3", "--trials", "5")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 8
-
-
-def test_threads_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("UCPLAB_THREADS", "many")
-    with pytest.raises(SystemExit):
-        main(["i3", "--trials", "5"])
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -26,8 +26,11 @@ from ucplab.interference import (
     symmetry_battery,
     t_structure_battery,
 )
+from ucplab.interference import _u_dense
 from ucplab.jordan import (
     AlgebraDescriptor,
+    _u_apply,
+    coords,
     identity,
     random_element,
     random_projection,
@@ -75,7 +78,7 @@ def test_third_order_terms_vanish(level, n):
     tol = 1e-8 if level == "O" else 1e-9
     assert abs(I3_scalar(mu, f, es[0], es[1], es[2])) <= tol
     op = I3_operator(es[0], es[1], es[2])
-    assert np.abs(op.basis_matrix()).max() <= tol
+    assert np.abs(op.matrix).max() <= tol
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -85,14 +88,45 @@ def test_i3_dense_sweep(level, n):
     assert i3_basis_norm_max(AlgebraDescriptor(level, n), trials, seed=9) <= tol
 
 
+@pytest.mark.parametrize("level,n", MODELS)
+def test_dense_builder_matches_vector_oracle(level, n):
+    desc = AlgebraDescriptor(level, n)
+    table = desc.table
+    g = np.stack([random_projection(desc, rank=1 + k % n, rng_seed=20 + k).entries for k in range(4)])
+    x = np.stack([random_element(desc, rng_seed=30 + k).entries for k in range(4)])
+    dense = _u_dense(desc, g)
+    assert dense.shape == (4, desc.basis_dim, desc.basis_dim)
+    # the batched matrices act on coordinates as U_g acts on elements
+    image = (dense @ coords(x, desc)[..., None])[..., 0]
+    assert np.abs(image - coords(_u_apply(g, x, table), desc)).max() <= 1e-12
+    # a product U_e @ U_f applies U_f first, then U_e
+    e, f = g[0], g[1]
+    composed = coords(_u_apply(e, _u_apply(f, x[0], table), table), desc)
+    assert np.abs(dense[0] @ dense[1] @ coords(x[0], desc) - composed).max() <= 1e-12
+    # I2_operator and I3_operator agree with the sums of vector compressions
+    es = list(spectral_decompose(random_element(desc, rng_seed=40)).idempotents)
+    if len(es) == 2:
+        es.append(identity(desc) - es[0] - es[1])
+    a, b, c = (p.entries for p in es[:3])
+    y = random_element(desc, rng_seed=41)
+
+    ua, ub, uc, uab, ubc, uac, uabc = (
+        _u_apply(p, y.entries, table) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
+    )
+    two = uab - ua - ub
+    seven = uabc - uab - ubc - uac + ua + ub + uc
+    assert np.abs(I2_operator(es[0], es[1])(y).entries - two).max() <= 1e-12
+    assert np.abs(I3_operator(*es[:3])(y).entries - seven).max() <= 1e-12
+
+
 def test_operator_algebra_relations():
     # U_e = 2 T_e^2 - T_e and S_e = 2 U_e + 2 U_e' - id on the basis.
     desc = AlgebraDescriptor("C", 3)
     e = random_projection(desc, rank=1, rng_seed=11)
-    t = T_map(e).basis_matrix()
-    u = U_operator(e).basis_matrix()
-    s = S_map(e).basis_matrix()
-    uc = U_operator(identity(desc) - e).basis_matrix()
+    t = T_map(e).matrix
+    u = U_operator(e).matrix
+    s = S_map(e).matrix
+    uc = U_operator(identity(desc) - e).matrix
     eye = np.eye(desc.basis_dim)
     assert np.abs(2 * t @ t - t - u).max() <= 1e-9
     assert np.abs(s - 2 * u - 2 * uc + eye).max() <= 1e-12

@@ -1,6 +1,5 @@
 """Oracle tests for the Hermitian matrix Jordan algebras."""
 
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from ucplab.jordan import (
     is_positive,
     jordan_product,
     order_unit_norm,
-    power,
     property_battery,
     quadratic_map_U,
     random_element,
@@ -180,21 +178,6 @@ def test_coords_roundtrip():
     desc = AlgebraDescriptor("H", 3)
     x = random_element(desc, rng_seed=8)
     assert np.allclose(from_coords(coords(x, desc), desc).entries, x.entries, atol=1e-12)
-
-
-def test_power_matches_matrix_power():
-    a = np.array([[1.0, 2.0], [2.0, -1.0]])
-    x = element("R", 2, a)
-    cube = power(x, 3)
-    assert np.allclose(cube.entries[..., 0], np.linalg.matrix_power(a, 3), atol=1e-12)
-
-
-def test_json_roundtrip():
-    x = random_element(AlgebraDescriptor("O", 3), rng_seed=2)
-    y = AlgebraElement.from_json(x.to_json())
-    assert y.descriptor == x.descriptor
-    assert np.allclose(y.entries, x.entries)
-    json.loads(x.to_json())  # valid JSON document
 
 
 def test_descriptor_mismatch_raises():

@@ -3,18 +3,7 @@
 import numpy as np
 import pytest
 
-from ucplab.scalars import (
-    LevelMismatchError,
-    Scalar,
-    cd_conj,
-    cd_mul,
-    cd_norm,
-    conj,
-    dump_multiplication_table,
-    multiplication_table,
-    norm,
-    real_part,
-)
+from ucplab.scalars import cd_conj, cd_mul, cd_norm, dump_multiplication_table, multiplication_table
 
 
 def unit(dim, k):
@@ -97,23 +86,6 @@ def test_batched_multiplication_matches_loop():
     batch = mul(8, a, b)
     for k in range(5):
         assert np.allclose(batch[k], mul(8, a[k], b[k]))
-
-
-def test_scalar_wrapper_arithmetic():
-    i = Scalar.unit(1, "C")
-    one = Scalar.from_real(1.0, "C")
-    assert norm(i * i + one) == pytest.approx(0.0)
-    assert real_part(conj(i) * i) == pytest.approx(1.0)
-
-
-def test_scalar_level_mismatch_raises():
-    with pytest.raises(LevelMismatchError):
-        Scalar.unit(1, "C") * Scalar.unit(1, "H")
-
-
-def test_scalar_rejects_wrong_coordinate_count():
-    with pytest.raises(ValueError):
-        Scalar((1.0, 0.0), "H")
 
 
 def test_dump_table_quaternions():
