@@ -61,12 +61,10 @@ class NotOrthogonalError(ValueError):
     pass
 
 
-def _require_orthogonal(desc, *events, tol=1e-6):
+def _require_orthogonal(desc, *events):
     for i in range(len(events)):
         for j in range(i + 1, len(events)):
-            prod = _jp(events[i], events[j], desc.table)
-            scale = 1.0 + np.abs(events[i]).max() + np.abs(events[j]).max()
-            if np.abs(prod).max() > tol * scale:
+            if not model._orthogonal(events[i], events[j], desc.table):
                 raise NotOrthogonalError("events must be mutually orthogonal")
 
 
@@ -265,10 +263,10 @@ def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=Fal
     ec = _identity(desc)[None] - e
     p = _inner(rho, _u_apply(e, f, table)) + _inner(rho, _u_apply(ec, f, table))
     q = _inner(rho, f)
-    return [
-        CorridorPoint(float(pi), float(qi), bool(qi >= 2 * pi - 1 - tol), bool(qi <= 2 * pi + tol))
-        for pi, qi in zip(p, q)
-    ]
+    lower_ok = q >= 2 * p - 1 - tol
+    upper_ok = q <= 2 * p + tol
+    rows = zip(p.tolist(), q.tolist(), lower_ok.tolist(), upper_ok.tolist())
+    return [CorridorPoint(*row) for row in rows]
 
 
 def saturating_configuration(desc: AlgebraDescriptor):

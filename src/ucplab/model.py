@@ -1,9 +1,11 @@
 """Events, states and conditional probabilities over the matrix algebras.
 
 A state is a positive trace-one density rho; it evaluates elements through
-the trace form mu(x) = <rho, x>.  Conditioning on an idempotent e follows
-the compression map: mu(f | e) = mu(U_e f) / mu(e), and the conditioned
-state itself has density U_e rho / mu(e).
+the trace form mu(x) = <rho, x>.  `State` rejects a density that is not
+Hermitian, not positive or not of trace one, each to within STATE_TOL.
+Conditioning on an idempotent e follows the compression map:
+mu(f | e) = mu(U_e f) / mu(e), and the conditioned state itself has density
+U_e rho / mu(e).
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ from .jordan import (
 )
 
 
+# Rounding in the O-level characteristic cubic puts the smallest eigenvalue of
+# valid rank-one conditional states near -1.5e-8, which DEFAULT_TOL (1e-9)
+# would reject.
+STATE_TOL = 1e-6
+ORTHOGONALITY_TOL = 1e-8
+
+
 class ConditioningOnNullError(ValueError):
     """Conditioning on an event of (numerically) zero probability."""
 
@@ -34,8 +43,13 @@ class State:
 
     def __post_init__(self):
         rho = self.density
-        if abs(jordan.trace(rho) - 1.0) > 1e-6:
+        if abs(jordan.trace(rho) - 1.0) > STATE_TOL:
             raise ValueError("state density must have trace one")
+        if not rho.is_hermitian(STATE_TOL):
+            raise ValueError("state density must be Hermitian")
+        hermitian = AlgebraElement(rho.descriptor, jordan._hermitize(rho.entries))
+        if not jordan.is_positive(hermitian, STATE_TOL):
+            raise ValueError("state density must be positive")
 
     @property
     def descriptor(self) -> AlgebraDescriptor:
@@ -55,12 +69,16 @@ def evaluate(mu: State, x: AlgebraElement) -> float:
     return inner(mu.density, x)
 
 
-def orthogonal(e: AlgebraElement, f: AlgebraElement, tol=1e-8) -> bool:
+def _orthogonal(a, b, table, tol=ORTHOGONALITY_TOL) -> bool:
+    """e o f = 0 on raw arrays, relative to the size of the entries."""
+    scale = 1.0 + np.abs(a).max() + np.abs(b).max()
+    return bool(np.abs(jordan._jp(a, b, table)).max() <= tol * scale)
+
+
+def orthogonal(e: AlgebraElement, f: AlgebraElement, tol=ORTHOGONALITY_TOL) -> bool:
     """Events are orthogonal iff e + f is again an event, i.e. e o f = 0."""
     e._check(f)
-    prod = jordan.jordan_product(e, f)
-    scale = 1.0 + np.abs(e.entries).max() + np.abs(f.entries).max()
-    return bool(np.abs(prod.entries).max() <= tol * scale)
+    return _orthogonal(e.entries, f.entries, e.descriptor.table, tol)
 
 
 def complement(e: AlgebraElement) -> AlgebraElement:

@@ -29,6 +29,7 @@ from ucplab.interference import (
 from ucplab.interference import _u_dense
 from ucplab.jordan import (
     AlgebraDescriptor,
+    AlgebraElement,
     _u_apply,
     coords,
     identity,
@@ -36,7 +37,7 @@ from ucplab.jordan import (
     random_projection,
     spectral_decompose,
 )
-from ucplab.model import State
+from ucplab.model import State, orthogonal
 
 MODELS = [("R", 2), ("R", 3), ("C", 2), ("C", 3), ("C", 4), ("H", 2), ("H", 3), ("O", 3)]
 
@@ -52,6 +53,18 @@ def test_i2_operator_requires_orthogonality():
     e = random_projection(desc, rank=2, rng_seed=1)
     with pytest.raises(NotOrthogonalError):
         I2_operator(e, e)
+
+
+def test_operators_share_the_model_orthogonality_test():
+    # 1e-7 off-diagonal entries: e o f is of order 1e-7, above the 1e-8 tolerance
+    desc = AlgebraDescriptor("R", 2)
+    e = AlgebraElement(desc, np.array([[[1.0], [1e-7]], [[1e-7], [0.0]]]))
+    f = AlgebraElement(desc, np.array([[[0.0], [1e-7]], [[1e-7], [1.0]]]))
+    assert not orthogonal(e, f)
+    with pytest.raises(NotOrthogonalError):
+        I2_operator(e, f)
+    with pytest.raises(NotOrthogonalError):
+        I3_operator(e, f, AlgebraElement(desc, np.zeros((2, 2, 1))))
 
 
 @pytest.mark.parametrize("level,n", MODELS)

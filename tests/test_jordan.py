@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     DescriptorMismatchError,
     NonHermitianError,
+    _matmul,
+    _to_complex,
     coords,
     eigenvalues,
     from_coords,
@@ -31,6 +35,16 @@ from ucplab.jordan import (
 )
 
 MODELS = [("R", 2), ("R", 3), ("C", 2), ("C", 3), ("C", 4), ("H", 2), ("H", 3), ("O", 3)]
+
+
+KERNEL_ALGEBRAS = [(level, n) for level in "RCH" for n in range(1, 5)] + [("O", 3)]
+
+
+def einsum_matmul(a, b, table):
+    """Oracle for the block-product kernel: the matrix product over the
+    scalar ring as two einsum contractions with the structure constants."""
+    bt = np.einsum("...kjy,xyz->...kjxz", b, table)
+    return np.einsum("...ikx,...kjxz->...ijz", a, bt)
 
 
 def element(level, n, complex_matrix):
@@ -60,6 +74,37 @@ def test_jordan_product_hand_oracle():
     expected = np.array([[0.5, 0.25], [0.25, 0.0]])
     assert np.allclose(prod.entries[..., 0], expected, atol=1e-15)
     assert np.allclose(prod.entries[..., 1], 0.0, atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    algebra=st.sampled_from(KERNEL_ALGEBRAS),
+    shapes=st.sampled_from([((), ()), ((4,), (4,)), ((), (4,)), ((4, 1), (5,))]),
+    swap=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_einsum_oracle(algebra, shapes, swap, scale, seed):
+    # batch (4, 1) against (5,) is how _u_dense applies a batch of events to
+    # every basis element at once
+    desc = AlgebraDescriptor(*algebra)
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b = shapes[::-1] if swap else shapes
+    a = scale * rng.standard_normal(shape_a + (desc.n, desc.n, desc.d))
+    b = scale * rng.standard_normal(shape_b + (desc.n, desc.n, desc.d))
+    got = _matmul(a, b, desc.table)
+    expected = einsum_matmul(a, b, desc.table)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
+
+
+def test_matmul_is_the_complex_matrix_product():
+    desc = AlgebraDescriptor("C", 3)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 3, 3, 2))
+    b = rng.standard_normal((6, 3, 3, 2))
+    expected = _to_complex(a) @ _to_complex(b)
+    assert np.abs(_to_complex(_matmul(a, b, desc.table)) - expected).max() <= 1e-13
 
 
 def test_trace_and_inner_complex_oracle():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ucplab.interference import saturating_configuration
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
@@ -34,6 +35,32 @@ def diag_element(level, n, values):
 def test_state_requires_trace_one():
     with pytest.raises(ValueError):
         State(diag_element("C", 2, [1.0, 1.0]))
+
+
+def test_state_rejects_non_positive_density():
+    # trace one, but mu(diag(0, 1)) would be -1
+    with pytest.raises(ValueError, match="positive"):
+        State(diag_element("R", 2, [2.0, -1.0]))
+
+
+def test_state_rejects_non_hermitian_density():
+    rho = diag_element("C", 2, [0.5, 0.5]).entries
+    rho[0, 1] = (0.25, 0.25)  # rho[1, 0] stays zero
+    with pytest.raises(ValueError, match="Hermitian"):
+        State(AlgebraElement(AlgebraDescriptor("C", 2), rho))
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_constructed_states_are_accepted(level, n):
+    # rank-one O3 conditionals have cubic eigenvalues down to about -1.5e-8,
+    # which the state tolerance must accept
+    desc = AlgebraDescriptor(level, n)
+    saturating_configuration(desc)
+    for k in range(20):
+        mu, nu = State.random(desc, rng_seed=k), State.random(desc, rng_seed=50 + k)
+        State.mix(0.3, mu, nu)
+        for rank in range(1, n + 1):
+            conditional_state(mu, random_projection(desc, rank=rank, rng_seed=1000 + k))
 
 
 def test_evaluate_diagonal_oracle():
