@@ -130,8 +130,11 @@ class FiniteEvent:
     def __eq__(self, other):
         return isinstance(other, FiniteEvent) and self.key == other.key
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.key))
+
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     @property
     def canonical_rep(self):
@@ -147,7 +150,12 @@ class SumUndefinedError(ValueError):
 
 
 class FiniteLogic:
-    """Orthogonality space derived from atom blocks."""
+    """Orthogonality space derived from atom blocks.
+
+    Every exact quantity (event keys, complements, orthogonality, sums,
+    state vertices, the event-value and conditional tables) is computed on
+    first use and cached on the logic.
+    """
 
     def __init__(self, blocks, n_atoms=None):
         self.raw_blocks = [tuple(b) for b in blocks]
@@ -161,6 +169,7 @@ class FiniteLogic:
                 row[a] = ONE
             rows.append(row)
         self._basis, self._pivots = rref(rows)
+        self._cache = {}
         self._events = {}
         for b in self.blocks:
             bset = frozenset(b)
@@ -168,11 +177,20 @@ class FiniteLogic:
                 for sub in combinations(sorted(bset), r):
                     self._add_event(frozenset(sub))
         self.events = sorted(self._events.values(), key=lambda e: e.key)
-        self._vertices = None
 
     # -- construction helpers ------------------------------------------------
 
+    def _once(self, compute, *args):
+        """compute(*args), computed on the first call and then cached."""
+        slot = (compute.__name__, args)
+        if slot not in self._cache:
+            self._cache[slot] = compute(*args)
+        return self._cache[slot]
+
     def _functional(self, atom_set):
+        return self._once(self._reduce, atom_set)
+
+    def _reduce(self, atom_set):
         vec = [ZERO] * (self.n + 1)
         for a in atom_set:
             vec[a] = ONE
@@ -208,6 +226,9 @@ class FiniteLogic:
         return ev
 
     def complement(self, e: FiniteEvent) -> FiniteEvent:
+        return self._once(self._complement, e)
+
+    def _complement(self, e):
         key = tuple(
             reduce_mod(
                 [ONE - e.key[0]] + [-c for c in e.key[1:]], self._basis, self._pivots
@@ -220,6 +241,9 @@ class FiniteLogic:
 
     def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
         """Orthogonal iff disjoint representatives fit in one block."""
+        return self._once(self._orthogonal, e, f)
+
+    def _orthogonal(self, e, f):
         for s in e.reps:
             for t in f.reps:
                 if s & t:
@@ -231,6 +255,9 @@ class FiniteLogic:
 
     def sum(self, e: FiniteEvent, f: FiniteEvent) -> FiniteEvent:
         """e + f for orthogonal events; must be independent of representatives."""
+        return self._once(self._sum, e, f)
+
+    def _sum(self, e, f):
         keys = set()
         for s in e.reps:
             for t in f.reps:
@@ -263,10 +290,37 @@ class FiniteLogic:
 
     def state_vertices(self):
         """Vertices of the state polytope (cached)."""
-        if self._vertices is None:
-            rows, rhs = self.block_rows()
-            self._vertices = polytope_vertices(rows, rhs, self.n)
-        return self._vertices
+        return self._once(self._state_vertices)
+
+    def _state_vertices(self):
+        rows, rhs = self.block_rows()
+        return polytope_vertices(rows, rhs, self.n)
+
+    def event_values(self):
+        """{event key: (mu_v(e) for each vertex state v)} (cached)."""
+        return self._once(self._event_values)
+
+    def _event_values(self):
+        verts = self.state_vertices()
+        return {e.key: tuple(self.evaluate(v, e) for v in verts) for e in self.events}
+
+    def conditional_vertices(self):
+        """{(event key, vertex index): conditional-state vertices} (cached).
+
+        One entry, in event then vertex order, for every event e and vertex
+        state v with mu_v(e) > 0 (so never the zero event); the list is
+        `conditional_state_vertices(self, v, e)`.
+        """
+        return self._once(self._conditional_vertices)
+
+    def _conditional_vertices(self):
+        values = self.event_values()
+        return {
+            (e.key, vi): conditional_state_vertices(self, v, e)
+            for e in self.events
+            for vi, v in enumerate(self.state_vertices())
+            if values[e.key][vi] > 0
+        }
 
     def sub_events(self, e: FiniteEvent):
         """{f : f orthogonal to e'} = the events below e."""
@@ -398,12 +452,12 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
 
 def check_uc1(logic: FiniteLogic) -> CheckReport:
     """Do the states separate every pair of distinct events?"""
-    verts = logic.state_vertices()
+    values = logic.event_values()
     events = logic.events
-    if len(events) > 1 and not verts:
+    if len(events) > 1 and not logic.state_vertices():
         return CheckReport(False, "UC1", "logic admits no states")
     for e, f in combinations(events, 2):
-        if all(logic.evaluate(v, e) == logic.evaluate(v, f) for v in verts):
+        if values[e.key] == values[f.key]:
             witness = f"events {e.label()} and {f.label()} agree on every state"
             return CheckReport(False, "UC1", witness)
     return CheckReport(True, "UC1", "")
@@ -428,35 +482,28 @@ def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
 
 def check_uc2(logic: FiniteLogic) -> CheckReport:
     """Existence and uniqueness of conditionals at every vertex state."""
-    verts = logic.state_vertices()
     details = []
     ok = True
     axiom = ""
     witness = ""
-    for e in logic.events:
-        if e == logic.zero_event:
-            continue
-        for vi, v in enumerate(verts):
-            pe = logic.evaluate(v, e)
-            if pe <= 0:
-                continue
-            cond = conditional_state_vertices(logic, v, e)
-            exists = len(cond) >= 1
-            unique = len(cond) == 1
-            details.append(
-                {
-                    "event": sorted(e.canonical_rep),
-                    "state_vertex": vi,
-                    "exists": exists,
-                    "unique": unique,
-                    "conditional": [str(x) for x in cond[0]] if unique else None,
-                    "witnesses": [[str(x) for x in c] for c in cond[:2]] if not unique else None,
-                }
-            )
-            if ok and not (exists and unique):
-                ok = False
-                axiom = "UC2-existence" if not exists else "UC2-uniqueness"
-                witness = f"event {e.label()}, vertex state {vi}"
+    for (key, vi), cond in logic.conditional_vertices().items():
+        e = logic._events[key]
+        exists = len(cond) >= 1
+        unique = len(cond) == 1
+        details.append(
+            {
+                "event": sorted(e.canonical_rep),
+                "state_vertex": vi,
+                "exists": exists,
+                "unique": unique,
+                "conditional": [str(x) for x in cond[0]] if unique else None,
+                "witnesses": [[str(x) for x in c] for c in cond[:2]] if not unique else None,
+            }
+        )
+        if ok and not (exists and unique):
+            ok = False
+            axiom = "UC2-existence" if not exists else "UC2-uniqueness"
+            witness = f"event {e.label()}, vertex state {vi}"
     return CheckReport(ok, axiom, witness, details)
 
 
@@ -466,15 +513,4 @@ def conditional_table(logic: FiniteLogic):
     Only defined where the conditional exists uniquely; call after check_uc2
     passed.
     """
-    verts = logic.state_vertices()
-    table = {}
-    for e in logic.events:
-        if e == logic.zero_event:
-            continue
-        for vi, v in enumerate(verts):
-            if logic.evaluate(v, e) <= 0:
-                continue
-            cond = conditional_state_vertices(logic, v, e)
-            if len(cond) == 1:
-                table[(e.key, vi)] = cond[0]
-    return table
+    return {key: cond[0] for key, cond in logic.conditional_vertices().items() if len(cond) == 1}

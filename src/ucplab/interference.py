@@ -27,6 +27,7 @@ applications (D = 27 for H_3(O)), so the large corridor batches stay on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -480,54 +481,68 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     Sweeps every vertex state, every event f and every pair/triple of
     mutually orthogonal events; each term mu(f|g) mu(g) is mu(g) nu_g(f)
     with nu_g the unique conditional, or zero when mu(g) = 0.
-    Configurations whose conditionals do not exist uniquely are counted in
-    `skipped` instead of being assigned a value.
+
+    The terms are tabulated once: terms[g][v] is the row over f of
+    mu_v(g) nu_{g,v}(f), times the common denominator L (the lcm of the
+    denominators of all rows), so every entry is an integer.  The row is all
+    zeros where mu_v(g) = 0 and None where the conditional is missing from
+    `conditionals`.  A pair or triple at a vertex is then the signed sum of
+    3 or 7 integer rows; only the reported maxima and witness values are
+    divided by L again.  The first configuration with the largest |value|
+    wins.  Configurations whose conditionals do not exist uniquely are
+    counted in `skipped` (len(events) per tuple and vertex) instead of being
+    assigned a value.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
     verts = logic.state_vertices()
     events = logic.events
-    zero = logic.zero_event
+    values = logic.event_values()
 
-    missing = object()
-
-    def term(g, vi, mu, f):
-        pg = logic.evaluate(mu, g)
-        if pg == 0:
-            return Fraction(0)
-        nu = conditionals.get((g.key, vi))
-        if nu is None:
-            return missing
-        return pg * logic.evaluate(nu, f)
+    exact = []  # exact[g][v]: the row of Fraction terms, indexed like `events`
+    for g in events:
+        rows = []
+        for vi, pg in enumerate(values[g.key]):
+            nu = conditionals.get((g.key, vi))
+            if pg == 0:
+                rows.append([0] * len(events))
+            elif nu is None:
+                rows.append(None)
+            else:
+                rows.append([pg * logic.evaluate(nu, f) for f in events])
+        exact.append(rows)
+    scale = math.lcm(*(x.denominator for rows in exact for row in rows if row for x in row))
+    terms = [
+        [row and [x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        for rows in exact
+    ]
+    signed = {1: terms, -1: [[row and [-x for x in row] for row in rows] for rows in terms]}
+    index = {e.key: i for i, e in enumerate(events)}
 
     def scan_tuples(tuples):
-        best = Fraction(0)
+        best = 0
         witness = None
         skipped = 0
-        signs_cache = {}
         for parts, groups in tuples:
-            for vi, mu in enumerate(verts):
-                for f in events:
-                    total = Fraction(0)
-                    bad = False
-                    for sign, g in groups:
-                        val = term(g, vi, mu, f)
-                        if val is missing:
-                            bad = True
-                            break
-                        total += sign * val
-                    if bad:
-                        skipped += 1
-                        continue
-                    if abs(total) > abs(best):
-                        best = total
-                        witness = {
-                            "events": [sorted(p.canonical_rep) for p in parts],
-                            "f": sorted(f.canonical_rep),
-                            "state_vertex": vi,
-                            "value": str(total),
-                        }
-        return best, witness, skipped
+            tables = [signed[sign][index[g.key]] for sign, g in groups]
+            for vi in range(len(verts)):
+                rows = [table[vi] for table in tables]
+                if None in rows:
+                    skipped += len(events)
+                    continue
+                totals = list(map(sum, zip(*rows)))
+                sizes = list(map(abs, totals))
+                top = max(sizes)
+                if top > abs(best):
+                    fi = sizes.index(top)
+                    best = totals[fi]
+                    witness = {
+                        "events": [sorted(p.canonical_rep) for p in parts],
+                        "f": sorted(events[fi].canonical_rep),
+                        "state_vertex": vi,
+                        "value": str(Fraction(best, scale)),
+                    }
+        return Fraction(best, scale), witness, skipped
 
     pair_tuples = []
     for i, e1 in enumerate(events):

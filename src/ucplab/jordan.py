@@ -30,6 +30,10 @@ from .scalars import LEVEL_DIM, LEVELS, cd_conj, multiplication_table
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
+# The one positivity tolerance, also held by `model.State`.  Rounding in the
+# O-level characteristic cubic puts the smallest eigenvalue of valid rank-one
+# conditional states near -1.5e-8, which DEFAULT_TOL would reject.
+STATE_TOL = 1e-6
 
 
 class DescriptorMismatchError(ValueError):
@@ -369,7 +373,7 @@ def order_unit_norm(x: AlgebraElement) -> float:
     return float(np.abs(eigenvalues(x)).max())
 
 
-def is_positive(x: AlgebraElement, tol=DEFAULT_TOL) -> bool:
+def is_positive(x: AlgebraElement, tol=STATE_TOL) -> bool:
     return bool(eigenvalues(x).min() >= -tol * (1.0 + np.abs(x.entries).max()))
 
 

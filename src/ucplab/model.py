@@ -19,6 +19,7 @@ from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     DEFAULT_TOL,
+    STATE_TOL,
     NotIdempotentError,
     inner,
     is_idempotent,
@@ -26,10 +27,6 @@ from .jordan import (
 )
 
 
-# Rounding in the O-level characteristic cubic puts the smallest eigenvalue of
-# valid rank-one conditional states near -1.5e-8, which DEFAULT_TOL (1e-9)
-# would reject.
-STATE_TOL = 1e-6
 ORTHOGONALITY_TOL = 1e-8
 
 
@@ -48,7 +45,7 @@ class State:
         if not rho.is_hermitian(STATE_TOL):
             raise ValueError("state density must be Hermitian")
         hermitian = AlgebraElement(rho.descriptor, jordan._hermitize(rho.entries))
-        if not jordan.is_positive(hermitian, STATE_TOL):
+        if not jordan.is_positive(hermitian):
             raise ValueError("state density must be positive")
 
     @property

@@ -137,6 +137,23 @@ def test_conditional_table_boolean():
             assert table[(e.key, vi)] == (F(1), F(0), F(0))
 
 
+def test_cached_tables_match_direct_evaluation():
+    logic = FiniteLogic(PASTED)
+    verts = logic.state_vertices()
+    values = logic.event_values()
+    assert values == {e.key: tuple(logic.evaluate(v, e) for v in verts) for e in logic.events}
+    conditionals = logic.conditional_vertices()
+    expected = {
+        (e.key, vi): conditional_state_vertices(logic, v, e)
+        for e in logic.events
+        for vi, v in enumerate(verts)
+        if logic.evaluate(v, e) > 0
+    }
+    assert conditionals == expected
+    assert list(conditionals) == list(expected)  # event-then-vertex order
+    assert logic.event_values() is values and logic.conditional_vertices() is conditionals
+
+
 def test_text_roundtrip():
     logic = FiniteLogic(PASTED)
     text = logic.to_text()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucplab.finite import FiniteLogic
+from ucplab.finite import FiniteLogic, conditional_table
 from ucplab.interference import (
     I2_operator,
     I2_scalar,
@@ -218,3 +218,122 @@ def test_finite_scan_pasted_regression():
     assert (report["pairs"], report["triples"]) == (23, 25)
     assert (report["skipped_i2"], report["skipped_i3"]) == (576, 672)
     assert report["vertex_states"] == 5
+
+
+def oracle_I3_scan(logic, conditionals):
+    """The scan as nested loops over Fraction values: re-evaluates every term."""
+    verts = logic.state_vertices()
+    events = logic.events
+    missing = object()
+
+    def term(g, vi, mu, f):
+        pg = logic.evaluate(mu, g)
+        if pg == 0:
+            return Fraction(0)
+        nu = conditionals.get((g.key, vi))
+        if nu is None:
+            return missing
+        return pg * logic.evaluate(nu, f)
+
+    def scan_tuples(tuples):
+        best = Fraction(0)
+        witness = None
+        skipped = 0
+        for parts, groups in tuples:
+            for vi, mu in enumerate(verts):
+                for f in events:
+                    total = Fraction(0)
+                    bad = False
+                    for sign, g in groups:
+                        val = term(g, vi, mu, f)
+                        if val is missing:
+                            bad = True
+                            break
+                        total += sign * val
+                    if bad:
+                        skipped += 1
+                        continue
+                    if abs(total) > abs(best):
+                        best = total
+                        witness = {
+                            "events": [sorted(p.canonical_rep) for p in parts],
+                            "f": sorted(f.canonical_rep),
+                            "state_vertex": vi,
+                            "value": str(total),
+                        }
+        return best, witness, skipped
+
+    pair_tuples = []
+    for i, e1 in enumerate(events):
+        for e2 in events[i:]:
+            if logic.orthogonal(e1, e2):
+                pair_tuples.append(((e1, e2), [(1, logic.sum(e1, e2)), (-1, e1), (-1, e2)]))
+    triple_tuples = []
+    for i, e1 in enumerate(events):
+        for j, e2 in enumerate(events[i:], start=i):
+            if not logic.orthogonal(e1, e2):
+                continue
+            s12 = logic.sum(e1, e2)
+            for e3 in events[j:]:
+                if not (logic.orthogonal(e1, e3) and logic.orthogonal(e2, e3)):
+                    continue
+                if not logic.orthogonal(s12, e3):
+                    continue
+                groups = [
+                    (1, logic.sum(s12, e3)),
+                    (-1, s12),
+                    (-1, logic.sum(e1, e3)),
+                    (-1, logic.sum(e2, e3)),
+                    (1, e1),
+                    (1, e2),
+                    (1, e3),
+                ]
+                triple_tuples.append(((e1, e2, e3), groups))
+    max_i2, wit_i2, skip2 = scan_tuples(pair_tuples)
+    max_i3, wit_i3, skip3 = scan_tuples(triple_tuples)
+    return {
+        "max_abs_i2": max_i2,
+        "i2_witness": wit_i2,
+        "max_abs_i3": max_i3,
+        "i3_witness": wit_i3,
+        "skipped_i2": skip2,
+        "skipped_i3": skip3,
+        "pairs": len(pair_tuples),
+        "triples": len(triple_tuples),
+        "vertex_states": len(verts),
+    }
+
+
+def perturbed_table(logic, seed):
+    """Every key of the real table sent to a random vertex state; every 7th key dropped."""
+    rng = np.random.default_rng(seed)
+    verts = logic.state_vertices()
+    keys = list(conditional_table(logic))
+    return {key: verts[rng.integers(len(verts))] for i, key in enumerate(keys) if i % 7 != 6}
+
+
+ORACLE_LOGICS = {
+    "boolean3": [(1, 2, 3)],
+    "boolean4": [(1, 2, 3, 4)],
+    "pasting": [(1, 2, 3), (3, 4, 5)],
+    "triangle": [(1, 2, 3), (3, 4, 5), (5, 6, 1)],
+    "square": [(1, 2), (2, 3), (3, 4), (4, 1)],
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_LOGICS)
+def test_finite_scan_matches_oracle(name):
+    logic = FiniteLogic(ORACLE_LOGICS[name])
+    tables = [conditional_table(logic)] + [perturbed_table(logic, seed) for seed in range(2)]
+    for table in tables:
+        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
+
+
+def test_finite_scan_oracle_cases_reach_signed_witnesses():
+    # The real tables give zeros everywhere; the perturbed ones must exercise
+    # the signed maxima and the witness values.
+    logic = FiniteLogic(ORACLE_LOGICS["boolean4"])
+    reports = [finite_I3_scan(logic, perturbed_table(logic, seed)) for seed in range(2)]
+    assert any(r["max_abs_i2"] < 0 for r in reports)
+    assert any(r["max_abs_i3"] < 0 and r["i3_witness"]["value"].startswith("-") for r in reports)
+    assert any(r["skipped_i2"] > 0 for r in reports)

@@ -8,6 +8,7 @@ from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     identity,
+    is_positive,
     random_projection,
     random_state_density,
 )
@@ -61,6 +62,15 @@ def test_constructed_states_are_accepted(level, n):
         State.mix(0.3, mu, nu)
         for rank in range(1, n + 1):
             conditional_state(mu, random_projection(desc, rank=rank, rng_seed=1000 + k))
+
+
+def test_is_positive_default_accepts_rank_one_o3_conditionals():
+    # cubic eigenvalues of these valid states reach about -1.5e-8
+    desc = AlgebraDescriptor("O", 3)
+    for k in range(100):
+        nu = conditional_state(State.random(desc, rng_seed=k), random_projection(desc, 1, 1000 + k))
+        assert is_positive(nu.density)
+    assert not is_positive(diag_element("O", 3, [1.0, 1e-3, -1e-3]))
 
 
 def test_evaluate_diagonal_oracle():

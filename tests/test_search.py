@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ucplab import finite
 from ucplab.search import SearchConfig, classify, enumerate_logics, run_search
 
 
@@ -51,6 +52,22 @@ def test_classify_boolean():
     assert record["n_states"] == 3
     assert record["scan"]["max_abs_i2"] == "0"
     assert record["scan"]["max_abs_i3"] == "0"
+
+
+def test_classify_solves_each_conditional_polytope_once(monkeypatch):
+    calls = []
+    original = finite.polytope_vertices
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(finite, "polytope_vertices", counted)
+    record = classify([(1, 2, 3, 4)])
+    assert "scan" in record
+    # the state polytope, then one conditional polytope for each of the 4
+    # vertex states and the 8 events that contain its atom
+    assert len(calls) == 1 + 4 * 8
 
 
 def test_classify_pasting_short_circuits_at_uc2():
