@@ -65,53 +65,26 @@ def reduce_mod(vec, basis_rows, pivots):
     return tuple(vec)
 
 
-def solve_unique(matrix, rhs):
-    """Exact solution of matrix @ x = rhs; None unless it is unique."""
-    ncols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
-    for row in reduced:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None  # inconsistent
-    if len([p for p in pivots if p < ncols]) < ncols:
-        return None  # underdetermined
-    sol = [ZERO] * ncols
-    for row, p in zip(reduced, pivots):
-        if p < ncols:
-            sol[p] = row[-1]
-    return sol
-
-
 def polytope_vertices(eq_rows, eq_rhs, n):
     """Vertices of {w in Q^n : w >= 0, eq_rows @ w = eq_rhs}, exactly.
 
     Basic-solution enumeration over column supports; fine for n <= ~12.
+    A support is a basis iff the reduced rows restricted to it row-reduce
+    to the identity.
     """
     reduced, pivots = rref([list(r) + [b] for r, b in zip(eq_rows, eq_rhs)])
-    for row in reduced:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return []
-    rank = len([p for p in pivots if p < n])
-    if any(p == n for p in pivots):
-        return []
-    matrix = [row[:n] for row in reduced]
-    rhs = [row[n] for row in reduced]
-    if rank == 0:
-        return [tuple([ZERO] * n)] if all(b == 0 for b in rhs) else []
-    seen = set()
-    verts = []
+    if n in pivots:
+        return []  # inconsistent
+    rank = len(pivots)
+    verts = set()
     for support in combinations(range(n), rank):
-        sub = [[row[c] for c in support] for row in matrix]
-        sol = solve_unique(sub, rhs)
-        if sol is None or any(v < 0 for v in sol):
+        sub, sub_pivots = rref([[row[c] for c in support] + [row[n]] for row in reduced])
+        if sub_pivots != list(range(rank)) or any(row[rank] < 0 for row in sub):
             continue
         full = [ZERO] * n
-        for c, v in zip(support, sol):
-            full[c] = v
-        key = tuple(full)
-        if key not in seen:
-            seen.add(key)
-            verts.append(key)
+        for c, row in zip(support, sub):
+            full[c] = row[rank]
+        verts.add(tuple(full))
     return sorted(verts)
 
 
@@ -162,12 +135,7 @@ class FiniteLogic:
         atoms = {a for b in self.raw_blocks for a in b}
         self.n = n_atoms if n_atoms is not None else (max(atoms) if atoms else 0)
         self.blocks = [tuple(sorted(set(b))) for b in self.raw_blocks]
-        rows = []
-        for b in self.blocks:
-            row = [Fraction(-1)] + [ZERO] * self.n
-            for a in b:
-                row[a] = ONE
-            rows.append(row)
+        rows = [[-ONE] + row for row in self.block_rows()[0]]
         self._basis, self._pivots = rref(rows)
         self._cache = {}
         self._events = {}
@@ -243,29 +211,23 @@ class FiniteLogic:
         """Orthogonal iff disjoint representatives fit in one block."""
         return self._once(self._orthogonal, e, f)
 
-    def _orthogonal(self, e, f):
+    def _joins(self, e, f):
+        """Unions of disjoint representatives of e and f that fit in one block."""
         for s in e.reps:
             for t in f.reps:
-                if s & t:
-                    continue
                 u = s | t
-                if any(u <= set(b) for b in self.blocks):
-                    return True
-        return False
+                if not s & t and any(u.issubset(b) for b in self.blocks):
+                    yield u
+
+    def _orthogonal(self, e, f):
+        return next(self._joins(e, f), None) is not None
 
     def sum(self, e: FiniteEvent, f: FiniteEvent) -> FiniteEvent:
         """e + f for orthogonal events; must be independent of representatives."""
         return self._once(self._sum, e, f)
 
     def _sum(self, e, f):
-        keys = set()
-        for s in e.reps:
-            for t in f.reps:
-                if s & t:
-                    continue
-                u = s | t
-                if any(u <= set(b) for b in self.blocks):
-                    keys.add(self._functional(u))
+        keys = {self._functional(u) for u in self._joins(e, f)}
         if not keys:
             raise SumUndefinedError("events are not orthogonal")
         if len(keys) > 1:

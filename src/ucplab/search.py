@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .finite import FiniteLogic, check_os_axioms, check_uc1, check_uc2, conditional_table
 from .interference import finite_I3_scan
@@ -39,15 +38,16 @@ class SearchConfig:
             raise ValueError("block_size_max below block_size_min")
 
 
-def _canonical_form(blocks, n_atoms):
-    """Lexicographically least relabeling of the block hypergraph."""
-    best = None
+def _is_least(form, n_atoms):
+    """Is the sorted block tuple its own lexicographically least relabeling?
+
+    Stops at the first relabeling of the atoms that gives a smaller form.
+    """
     for perm in itertools.permutations(range(1, n_atoms + 1)):
-        relabel = {i + 1: perm[i] for i in range(n_atoms)}
-        form = tuple(sorted(tuple(sorted(relabel[a] for a in b)) for b in blocks))
-        if best is None or form < best:
-            best = form
-    return best
+        image = tuple(sorted(tuple(sorted(perm[a - 1] for a in b)) for b in form))
+        if image < form:
+            return False
+    return True
 
 
 def enumerate_logics(config: SearchConfig):
@@ -55,38 +55,27 @@ def enumerate_logics(config: SearchConfig):
 
     Admissible: every atom lies in some block, no two blocks share more
     than one atom, no block contains another.  Yields (n_atoms, blocks)
-    with blocks in canonical form.
+    with blocks in canonical form, the least relabeling of the class.  That
+    form is itself a candidate combination, so keeping each combination
+    that is its own least relabeling keeps exactly one per class.
     """
     top = config.block_size_max or config.max_atoms
-    seen = set()
     results = []
     for n in range(config.block_size_min, config.max_atoms + 1):
         atoms = range(1, n + 1)
         sizes = range(config.block_size_min, min(top, n) + 1)
-        candidates = [tuple(c) for s in sizes for c in itertools.combinations(atoms, s)]
+        candidates = [c for s in sizes for c in itertools.combinations(atoms, s)]
         for count in range(1, config.max_blocks + 1):
             for combo in itertools.combinations(candidates, count):
-                covered = set().union(*map(set, combo))
-                if covered != set(atoms):
+                if set().union(*combo) != set(atoms) or any(
+                    len(set(a) & set(b)) > 1 for a, b in itertools.combinations(combo, 2)
+                ):
                     continue
-                ok = True
-                for a, b in itertools.combinations(combo, 2):
-                    if len(set(a) & set(b)) > 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                form = _canonical_form(combo, n)
-                if form in seen:
-                    continue
-                seen.add(form)
-                results.append((n, form))
+                form = tuple(sorted(combo))
+                if _is_least(form, n):
+                    results.append((n, form))
     results.sort()
     return results
-
-
-def _fmt_fraction(value):
-    return str(value) if isinstance(value, Fraction) else value
 
 
 def classify(blocks, n_atoms=None) -> dict:
@@ -124,8 +113,8 @@ def classify(blocks, n_atoms=None) -> dict:
         return record
     scan = finite_I3_scan(logic, conditional_table(logic))
     record["scan"] = {
-        "max_abs_i2": _fmt_fraction(scan["max_abs_i2"]),
-        "max_abs_i3": _fmt_fraction(scan["max_abs_i3"]),
+        "max_abs_i2": str(scan["max_abs_i2"]),
+        "max_abs_i3": str(scan["max_abs_i3"]),
         "i2_witness": scan["i2_witness"],
         "i3_witness": scan["i3_witness"],
         "pairs": scan["pairs"],

@@ -37,6 +37,28 @@ def test_polytope_vertices_simplex():
     ]
 
 
+def test_polytope_vertices_inconsistent_system_is_empty():
+    assert polytope_vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], 2) == []
+
+
+def test_polytope_vertices_negative_only_solution_is_empty():
+    # w1 + w2 = 1 and w1 = 2 force w2 = -1.
+    assert polytope_vertices([[F(1), F(1)], [F(1), F(0)]], [F(1), F(2)], 2) == []
+
+
+def test_polytope_vertices_rank_zero_is_the_origin():
+    origin = [(F(0), F(0), F(0))]
+    assert polytope_vertices([], [], 3) == origin
+    assert polytope_vertices([[F(0), F(0), F(0)]], [F(0)], 3) == origin
+
+
+def test_polytope_vertices_degenerate_vertex_once_and_sorted():
+    # w1 + w2 = 1, w1 + w3 = 1: supports {1, 2} and {1, 3} both give
+    # (1, 0, 0) and are tried before {2, 3}, which gives (0, 1, 1).
+    verts = polytope_vertices([[F(1), F(1), F(0)], [F(1), F(0), F(1)]], [F(1), F(1)], 3)
+    assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(0))]
+
+
 def test_boolean_logic_structure():
     logic = FiniteLogic(BOOLEAN3)
     assert len(logic.events) == 8  # all subsets of three atoms

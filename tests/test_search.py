@@ -1,11 +1,49 @@
 """Enumeration, classification and determinism of the finite-logic search."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from ucplab import finite
+from ucplab.cli import main
 from ucplab.search import SearchConfig, classify, enumerate_logics, run_search
+
+
+def _canonical_form(blocks, n_atoms):
+    """Lexicographically least relabeling of the block hypergraph."""
+    best = None
+    for perm in itertools.permutations(range(1, n_atoms + 1)):
+        relabel = {i + 1: perm[i] for i in range(n_atoms)}
+        form = tuple(sorted(tuple(sorted(relabel[a] for a in b)) for b in blocks))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def oracle_enumerate(config):
+    """Reference enumeration: the full n! canonical form of every candidate
+    combination, deduplicated with a set of the forms seen."""
+    top = config.block_size_max or config.max_atoms
+    seen = set()
+    results = []
+    for n in range(config.block_size_min, config.max_atoms + 1):
+        atoms = range(1, n + 1)
+        sizes = range(config.block_size_min, min(top, n) + 1)
+        candidates = [tuple(c) for s in sizes for c in itertools.combinations(atoms, s)]
+        for count in range(1, config.max_blocks + 1):
+            for combo in itertools.combinations(candidates, count):
+                if set().union(*map(set, combo)) != set(atoms):
+                    continue
+                if any(len(set(a) & set(b)) > 1 for a, b in itertools.combinations(combo, 2)):
+                    continue
+                form = _canonical_form(combo, n)
+                if form not in seen:
+                    seen.add(form)
+                    results.append((n, form))
+    results.sort()
+    return results
 
 
 def test_config_validation():
@@ -40,6 +78,20 @@ def test_enumerate_dedups_relabelings():
     logics = enumerate_logics(SearchConfig(max_atoms=5, max_blocks=2, block_size_max=3))
     pastings = [b for _, b in logics if len(b) == 2]
     assert pastings == [((1, 2, 3), (1, 4, 5))]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(5, 3, 2, 3),
+        SearchConfig(5, 4, 2, 2),
+        SearchConfig(6, 2, 2, 4),
+        SearchConfig(6, 3),
+    ],
+    ids=str,
+)
+def test_enumerate_matches_canonical_form_oracle(config):
+    assert enumerate_logics(config) == oracle_enumerate(config)
 
 
 def test_enumerate_zero_atoms_is_empty():
@@ -117,3 +169,26 @@ def test_run_search_is_deterministic(tmp_path):
     run_search(SearchConfig(max_atoms=5, max_blocks=2), out_path=str(a))
     run_search(SearchConfig(max_atoms=5, max_blocks=2), out_path=str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `ucplab search ... --out` for each argument string
+PINNED_JSONL = {
+    "--max-atoms 3": "d6da1155a714cdde07df6e035fef091aa280072dc9b9c81d346b44fd11baf616",
+    "--max-atoms 4 --blocks 2": "d3352ca02a7b1e7ae4273dff4c18b18afd75a3aa16dc2263e03ee8ef170bb4cc",
+    "--max-atoms 5 --blocks 2": "c5cca0902d2f1dcd599a1c0604f3612831fc6e04a142d66a499c60ba43f7efaf",
+    "--max-atoms 6 --blocks 4 --block-size-min 2 --block-size-max 2": (
+        "5f7ac5ce60e878a82f5e351c874a51ef9abc20463edfcc53e5b74f22615592f3"
+    ),
+    # 6 classes: 1 fails OS, 4 fail UC2, 1 has unique conditionals
+    "--max-atoms 7 --blocks 3 --block-size-max 3": (
+        "27bcef035bcbe9b543e3a469f21597e9b8c5c82cfef8108fed1ca4bed8c1380d"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", PINNED_JSONL)
+def test_search_jsonl_digest_is_pinned(tmp_path, capsys, args):
+    out = tmp_path / "records.jsonl"
+    assert main(["search", *args.split(), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_JSONL[args]
