@@ -5,6 +5,7 @@ Subcommands:
   corridor  sample the conditional-probability corridor to CSV
   i3        sweep the dense matrix of the third-order map over random triples
   search    enumerate and classify small block-pasted finite logics
+  classify  classify one finite logic read from a block file
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 """
@@ -21,7 +22,8 @@ import sys
 from . import __version__, interference, jordan
 from .jordan import AlgebraDescriptor
 from .scalars import LEVELS
-from .search import SearchConfig, run_search
+from .finite import FiniteLogic
+from .search import SearchConfig, classify, run_search
 
 
 def _add_model_flags(parser, default_trials):
@@ -180,6 +182,17 @@ def cmd_search(parser, args):
     return 0
 
 
+def cmd_classify(parser, args):
+    try:
+        with open(args.logic, encoding="utf-8") as handle:
+            logic = FiniteLogic.from_text(handle.read())
+    except (OSError, ValueError) as exc:
+        parser.error(f"--logic {args.logic}: {exc}")
+    record = classify(logic.raw_blocks, logic.n)
+    _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
+    return 0 if "scan" in record else 1
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ucplab",
@@ -206,6 +219,10 @@ def build_parser():
     p_search.add_argument("--block-size-max", type=int, default=None)
     p_search.add_argument("--out", default=None)
 
+    p_classify = sub.add_parser("classify", help="classify one finite logic from a block file")
+    p_classify.add_argument("--logic", required=True, help="block file, one 'block: 1 2 3' per line")
+    p_classify.add_argument("--out", default=None)
+
     return parser
 
 
@@ -217,6 +234,7 @@ def main(argv=None):
         "corridor": cmd_corridor,
         "i3": cmd_i3,
         "search": cmd_search,
+        "classify": cmd_classify,
     }
     return handlers[args.command](parser, args)
 

@@ -24,6 +24,9 @@ from itertools import combinations
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# check_uc2 stops after this many failing (event, vertex) pairs; a search
+# record keeps no more.
+MAX_UC2_FAILURES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -31,28 +34,33 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref(rows, limit=None):
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    With `limit`, pivots are taken only in the first `limit` columns, so the
+    rows past the rank are zero there but may be nonzero after them.
+    """
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
+    for c in range(ncols if limit is None else min(limit, ncols)):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        if rows[r][c] != 1:
+            inv = ONE / rows[r][c]
+            rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[r])]
+                rows[i] = [v - factor * p if p else v for v, p in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return [rows[i] for i in range(r)], pivots
+    return rows[:r] + [row for row in rows[r:] if any(row)], pivots
 
 
 def reduce_mod(vec, basis_rows, pivots):
@@ -65,27 +73,41 @@ def reduce_mod(vec, basis_rows, pivots):
     return tuple(vec)
 
 
-def polytope_vertices(eq_rows, eq_rhs, n):
-    """Vertices of {w in Q^n : w >= 0, eq_rows @ w = eq_rhs}, exactly.
+def polytope_vertices(eq_rows, rhs_columns, n):
+    """Vertices of {w in Q^n : w >= 0, eq_rows @ w = b}, exactly, for each
+    right-hand side b in `rhs_columns`; one sorted vertex list per column.
 
     Basic-solution enumeration over column supports; fine for n <= ~12.
-    A support is a basis iff the reduced rows restricted to it row-reduce
-    to the identity.
+    [A | b_1 ... b_k] is row-reduced once with pivots only in A's n columns,
+    and a column is inconsistent iff it is nonzero in a row below the rank.
+    Each support S then takes one `rref` of [A_S | the consistent columns]:
+    S is a basis iff A_S reduces to the identity, a test all columns share,
+    and it gives a vertex of column b iff b's reduced entries are >= 0.
     """
-    reduced, pivots = rref([list(r) + [b] for r, b in zip(eq_rows, eq_rhs)])
-    if n in pivots:
-        return []  # inconsistent
+    width = len(rhs_columns)
+    reduced, pivots = rref(
+        [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(eq_rows)], limit=n
+    )
     rank = len(pivots)
-    verts = set()
+    live = [j for j in range(width) if all(row[n + j] == 0 for row in reduced[rank:])]
+    if not live:
+        return [[] for _ in range(width)]
+    verts = [set() for _ in range(width)]
+    tails = [[row[n + j] for j in live] for row in reduced[:rank]]
     for support in combinations(range(n), rank):
-        sub, sub_pivots = rref([[row[c] for c in support] + [row[n]] for row in reduced])
-        if sub_pivots != list(range(rank)) or any(row[rank] < 0 for row in sub):
+        sub, sub_pivots = rref(
+            [[row[c] for c in support] + tail for row, tail in zip(reduced[:rank], tails)],
+            limit=rank,
+        )
+        if len(sub_pivots) < rank:
             continue
-        full = [ZERO] * n
-        for c, row in zip(support, sub):
-            full[c] = row[rank]
-        verts.add(tuple(full))
-    return sorted(verts)
+        for k, j in enumerate(live, start=rank):
+            if all(row[k] >= 0 for row in sub):
+                full = [ZERO] * n
+                for c, row in zip(support, sub):
+                    full[c] = row[k]
+                verts[j].add(tuple(full))
+    return [sorted(v) for v in verts]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +278,7 @@ class FiniteLogic:
 
     def _state_vertices(self):
         rows, rhs = self.block_rows()
-        return polytope_vertices(rows, rhs, self.n)
+        return polytope_vertices(rows, [rhs], self.n)[0]
 
     def event_values(self):
         """{event key: (mu_v(e) for each vertex state v)} (cached)."""
@@ -266,22 +288,44 @@ class FiniteLogic:
         verts = self.state_vertices()
         return {e.key: tuple(self.evaluate(v, e) for v in verts) for e in self.events}
 
+    def event_conditionals(self, e: FiniteEvent):
+        """Conditional states under e of the vertex states and their barycentre (cached).
+
+        Returns ({vertex index v: conditional-state vertices of v}, the
+        conditional-state vertices of the barycentre of all state vertices),
+        with an entry for every vertex state v with mu_v(e) > 0.  The
+        conditional polytopes of one event share their constraint matrix
+        and differ only in the right-hand side, so all of them come from one
+        `polytope_vertices` call.  An event that is zero at every vertex
+        makes no call and returns ({}, None).
+        """
+        return self._once(self._event_conditionals, e)
+
+    def _event_conditionals(self, e):
+        verts = self.state_vertices()
+        positive = [vi for vi, p in enumerate(self.event_values()[e.key]) if p > 0]
+        if not positive:
+            return {}, None
+        barycentre = tuple(sum(w) / len(verts) for w in zip(*verts))
+        *at_vertices, at_barycentre = _conditional_vertex_lists(
+            self, e, [verts[vi] for vi in positive] + [barycentre]
+        )
+        return dict(zip(positive, at_vertices)), at_barycentre
+
     def conditional_vertices(self):
         """{(event key, vertex index): conditional-state vertices} (cached).
 
         One entry, in event then vertex order, for every event e and vertex
-        state v with mu_v(e) > 0 (so never the zero event); the list is
-        `conditional_state_vertices(self, v, e)`.
+        state v with mu_v(e) > 0 (so never the zero event), read from
+        `event_conditionals(e)`.
         """
         return self._once(self._conditional_vertices)
 
     def _conditional_vertices(self):
-        values = self.event_values()
         return {
-            (e.key, vi): conditional_state_vertices(self, v, e)
+            (e.key, vi): cond
             for e in self.events
-            for vi, v in enumerate(self.state_vertices())
-            if values[e.key][vi] > 0
+            for vi, cond in self.event_conditionals(e)[0].items()
         }
 
     def sub_events(self, e: FiniteEvent):
@@ -321,14 +365,6 @@ class CheckReport:
     axiom: str = ""
     witness: str = ""
     details: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "pass": self.passed,
-            "axiom": self.axiom,
-            "witness": self.witness,
-            "details": self.details,
-        }
 
 
 def check_os_axioms(logic: FiniteLogic) -> CheckReport:
@@ -425,6 +461,20 @@ def check_uc1(logic: FiniteLogic) -> CheckReport:
     return CheckReport(True, "UC1", "")
 
 
+def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
+    """Conditional-state vertex lists under e of each atom-weight state, in one solve."""
+    subs = logic.sub_events(e)
+    rows, rhs = logic.block_rows()
+    rows += [list(f.key[1:]) for f in subs]
+    columns = []
+    for weights in states:
+        pe = logic.evaluate(weights, e)
+        if pe <= 0:
+            raise ValueError("conditioning needs mu(e) > 0")
+        columns.append(rhs + [logic.evaluate(weights, f) / pe - f.key[0] for f in subs])
+    return polytope_vertices(rows, columns, logic.n)
+
+
 def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
     """Vertices of the set of conditional states of `weights` under e.
 
@@ -432,41 +482,75 @@ def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
     sub-event f of e.  Returns the exact vertex list (empty: none exists;
     a single vertex: the conditional probability is unique).
     """
-    pe = logic.evaluate(weights, e)
-    if pe <= 0:
-        raise ValueError("conditioning needs mu(e) > 0")
-    rows, rhs = logic.block_rows()
-    for f in logic.sub_events(e):
-        rows.append(list(f.key[1:]))
-        rhs.append(logic.evaluate(weights, f) / pe - f.key[0])
-    return polytope_vertices(rows, rhs, logic.n)
+    return _conditional_vertex_lists(logic, e, [weights])[0]
+
+
+def _uc2_detail(e, state, cond):
+    unique = len(cond) == 1
+    return {
+        "event": sorted(e.canonical_rep),
+        "state_vertex": state,
+        "exists": len(cond) >= 1,
+        "unique": unique,
+        "conditional": [str(x) for x in cond[0]] if unique else None,
+        "witnesses": [[str(x) for x in c] for c in cond[:2]] if not unique else None,
+    }
 
 
 def check_uc2(logic: FiniteLogic) -> CheckReport:
-    """Existence and uniqueness of conditionals at every vertex state."""
+    """Existence and uniqueness of conditionals at every state.
+
+    Walks the events in order and, for each event e, the vertex states v
+    with mu_v(e) > 0, adding one `details` entry per (event, vertex) pair.
+    The first pair without exactly one conditional names the stage,
+    UC2-existence or UC2-uniqueness.  The walk stops once MAX_UC2_FAILURES
+    pairs have failed, so on such a logic `details` ends at the last of
+    them and later pairs are never solved.
+
+    Uniqueness at the vertices alone says nothing about a mixed state: its
+    conditional polytope contains the mixtures of its parts' conditionals
+    but can be larger.  So when every vertex passes, each event is also
+    solved at the barycentre beta of the state vertices, and a second
+    conditional there fails the logic with stage UC2-interior, with a
+    `details` entry whose state_vertex is "barycentre".  One state per
+    event suffices:
+
+    Claim.  If a conditional under e exists at every vertex v with
+    v(e) > 0, then it is unique at every state mu with mu(e) > 0 iff it is
+    unique at beta.
+    Proof.  Existence at every state follows by mixing the vertex
+    conditionals (the mixture identity).  Take mu with mu(e) > 0 and two
+    conditionals nu1 != nu2.  beta averages all vertices, so it lies in
+    the relative interior of the state polytope, and beta = a mu +
+    (1 - a) mu' for some state mu' and some a in (0, 1].  With nu' a
+    conditional of mu' (any state if mu'(e) = 0), each
+    (a mu(e) nu_k + (1 - a) mu'(e) nu') / beta(e) is a conditional of beta,
+    and the two differ because a mu(e) > 0.  The converse is mu = beta.
+    """
     details = []
-    ok = True
-    axiom = ""
-    witness = ""
-    for (key, vi), cond in logic.conditional_vertices().items():
-        e = logic._events[key]
-        exists = len(cond) >= 1
-        unique = len(cond) == 1
-        details.append(
-            {
-                "event": sorted(e.canonical_rep),
-                "state_vertex": vi,
-                "exists": exists,
-                "unique": unique,
-                "conditional": [str(x) for x in cond[0]] if unique else None,
-                "witnesses": [[str(x) for x in c] for c in cond[:2]] if not unique else None,
-            }
-        )
-        if ok and not (exists and unique):
-            ok = False
-            axiom = "UC2-existence" if not exists else "UC2-uniqueness"
-            witness = f"event {e.label()}, vertex state {vi}"
-    return CheckReport(ok, axiom, witness, details)
+    failures = 0
+    interior = None
+    for e in logic.events:
+        at_vertices, at_barycentre = logic.event_conditionals(e)
+        for vi, cond in at_vertices.items():
+            details.append(_uc2_detail(e, vi, cond))
+            if len(cond) == 1:
+                continue
+            failures += 1
+            if failures == 1:
+                axiom = "UC2-uniqueness" if cond else "UC2-existence"
+                witness = f"event {e.label()}, vertex state {vi}"
+            if failures == MAX_UC2_FAILURES:
+                return CheckReport(False, axiom, witness, details)
+        if interior is None and at_barycentre is not None and len(at_barycentre) != 1:
+            interior = e, at_barycentre
+    if failures:
+        return CheckReport(False, axiom, witness, details)
+    if interior is not None:
+        e, cond = interior
+        details.append(_uc2_detail(e, "barycentre", cond))
+        return CheckReport(False, "UC2-interior", f"event {e.label()}, barycentre state", details)
+    return CheckReport(True, "", "", details)
 
 
 def conditional_table(logic: FiniteLogic):

@@ -34,6 +34,8 @@ CLUSTER_TOL = 1e-8
 # O-level characteristic cubic puts the smallest eigenvalue of valid rank-one
 # conditional states near -1.5e-8, which DEFAULT_TOL would reject.
 STATE_TOL = 1e-6
+# Idempotency residual |e∘e - e|, relative to the largest entry of e.
+IDEMPOTENT_TOL = 1e-6
 
 
 class DescriptorMismatchError(ValueError):
@@ -328,7 +330,7 @@ def inner(x: AlgebraElement, y: AlgebraElement) -> float:
     return float(_inner(x.entries, y.entries))
 
 
-def is_idempotent(e: AlgebraElement, tol=1e-6) -> bool:
+def is_idempotent(e: AlgebraElement, tol=IDEMPOTENT_TOL) -> bool:
     diff = _jp(e.entries, e.entries, e.descriptor.table) - e.entries
     return bool(np.abs(diff).max() <= tol * (1.0 + np.abs(e.entries).max()))
 

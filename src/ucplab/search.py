@@ -2,10 +2,13 @@
 
 A logic is described by its maximal Boolean blocks over atoms 1..n.  The
 enumeration produces pastings where distinct blocks overlap in at most one
-atom (so no block is redundant and no two atoms are forced equal), one
-representative per atom-relabeling class, in a deterministic order.  Each
-logic is then pushed through the axiom checkers, the two unique-conditional
-properties and, where those hold everywhere, the exact interference scan.
+atom (so no block contains another), one representative per atom-relabeling
+class, in a deterministic order.  The overlap rule does not keep atoms
+distinct: in [[1,2],[1,3]] atoms 2 and 3 are both the complement of atom 1,
+so the logic is a Boolean algebra with 4 events and 2 states.  Such
+collapsed pastings stay in the output.  Each logic is then pushed through
+the axiom checkers, the two unique-conditional properties and, where those
+hold everywhere, the exact interference scan.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ def classify(blocks, n_atoms=None) -> dict:
     """Run the checker chain on one logic, short-circuiting on failure.
 
     Stages: state-space axioms, vertex separation (UC1), unique
-    conditionals (UC2), exact interference scan.  Oversized logics get a
-    skip marker instead of the expensive stages.
+    conditionals (UC2: at the vertex states, then at their barycentre),
+    exact interference scan.  Oversized logics get a skip marker instead of
+    the expensive stages.  A UC2 failure keeps the failing details that
+    `check_uc2` collected, at most `finite.MAX_UC2_FAILURES` of them.
     """
     logic = FiniteLogic(blocks, n_atoms)
     record = {
@@ -109,7 +114,7 @@ def classify(blocks, n_atoms=None) -> dict:
     record["uc2_pass"] = uc2.passed
     if not uc2.passed:
         bad = [d for d in uc2.details if not (d["exists"] and d["unique"])]
-        record["failure"] = {"stage": uc2.axiom, "witness": uc2.witness, "details": bad[:5]}
+        record["failure"] = {"stage": uc2.axiom, "witness": uc2.witness, "details": bad}
         return record
     scan = finite_I3_scan(logic, conditional_table(logic))
     record["scan"] = {

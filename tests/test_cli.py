@@ -8,6 +8,7 @@ import pytest
 
 from ucplab import __version__
 from ucplab.cli import main
+from ucplab.search import classify
 
 
 def run(capsys, *argv):
@@ -44,6 +45,8 @@ def test_verify_fails_on_impossible_tolerance(capsys):
         ("verify", "--tol", "0"),
         ("i3", "--algebra", "Q"),
         ("verify", "--format", "csv"),
+        ("classify",),
+        ("classify", "--logic", "no-such-logic.txt"),
     ],
 )
 def test_usage_errors_exit_two(argv):
@@ -133,6 +136,22 @@ def test_search_writes_jsonl(tmp_path, capsys):
     code, _ = run(capsys, "search", "--max-atoms", "5", "--blocks", "2", "--out", str(out_file))
     assert code == 0
     assert len(out_file.read_text().strip().splitlines()) == 5
+
+
+def test_classify_exits_zero_on_a_ucp_logic(tmp_path, capsys):
+    path = tmp_path / "boolean.txt"
+    path.write_text("# one block\nblock: 1 2 3\n")
+    code, out = run(capsys, "classify", "--logic", str(path))
+    assert code == 0
+    assert out == json.dumps(classify([(1, 2, 3)]), sort_keys=True) + "\n"
+
+
+def test_classify_rejects_a_malformed_logic_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("block: 0 1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["classify", "--logic", str(path)])
+    assert err.value.code == 2
 
 
 def test_outputs_to_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact rational checks on finite block-pasted logics."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from ucplab.finite import (
 
 F = Fraction
 BOOLEAN3 = [(1, 2, 3)]
+BOOLEAN4 = [(1, 2, 3, 4)]
 PASTED = [(1, 2, 3), (3, 4, 5)]
+TRIANGLE = [(1, 2, 5), (2, 3, 6), (1, 3, 4)]
+SQUARE = [(1, 2), (2, 3), (3, 4), (4, 1)]  # a 4-cycle of 2-atom blocks
 
 
 def test_rref_exactness():
@@ -29,7 +33,7 @@ def test_rref_exactness():
 
 def test_polytope_vertices_simplex():
     # w1 + w2 + w3 = 1, w >= 0: the three unit vectors.
-    verts = polytope_vertices([[F(1), F(1), F(1)]], [F(1)], 3)
+    verts = polytope_vertices([[F(1), F(1), F(1)]], [[F(1)]], 3)[0]
     assert verts == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
@@ -38,25 +42,47 @@ def test_polytope_vertices_simplex():
 
 
 def test_polytope_vertices_inconsistent_system_is_empty():
-    assert polytope_vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], 2) == []
+    assert polytope_vertices([[F(1), F(1)], [F(1), F(1)]], [[F(1), F(2)]], 2)[0] == []
 
 
 def test_polytope_vertices_negative_only_solution_is_empty():
     # w1 + w2 = 1 and w1 = 2 force w2 = -1.
-    assert polytope_vertices([[F(1), F(1)], [F(1), F(0)]], [F(1), F(2)], 2) == []
+    assert polytope_vertices([[F(1), F(1)], [F(1), F(0)]], [[F(1), F(2)]], 2)[0] == []
 
 
 def test_polytope_vertices_rank_zero_is_the_origin():
     origin = [(F(0), F(0), F(0))]
-    assert polytope_vertices([], [], 3) == origin
-    assert polytope_vertices([[F(0), F(0), F(0)]], [F(0)], 3) == origin
+    assert polytope_vertices([], [[]], 3)[0] == origin
+    assert polytope_vertices([[F(0), F(0), F(0)]], [[F(0)]], 3)[0] == origin
 
 
 def test_polytope_vertices_degenerate_vertex_once_and_sorted():
     # w1 + w2 = 1, w1 + w3 = 1: supports {1, 2} and {1, 3} both give
     # (1, 0, 0) and are tried before {2, 3}, which gives (0, 1, 1).
-    verts = polytope_vertices([[F(1), F(1), F(0)], [F(1), F(0), F(1)]], [F(1), F(1)], 3)
+    verts = polytope_vertices([[F(1), F(1), F(0)], [F(1), F(0), F(1)]], [[F(1), F(1)]], 3)[0]
     assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(0))]
+
+
+def test_polytope_vertices_solves_many_columns_at_once():
+    # the one-column cases above as right-hand sides of one matrix:
+    # degenerate, inconsistent, negative-only and zero (rank 2, so not the
+    # origin here)
+    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)]]
+    columns = [[F(1), F(1)], [F(1), F(2)], [F(-1), F(1)], [F(0), F(0)], [F(2), F(3)]]
+    together = polytope_vertices(rows, columns, 3)
+    assert together == [polytope_vertices(rows, [b], 3)[0] for b in columns]
+    assert together[0] == [(F(0), F(1), F(1)), (F(1), F(0), F(0))]
+    assert together[2] == [] and together[3] == [(F(0), F(0), F(0))]
+    # an inconsistent column next to consistent ones of the same matrix
+    rows = [[F(1), F(1)], [F(1), F(1)]]
+    columns = [[F(1), F(2)], [F(1), F(1)], [F(2), F(2)]]
+    assert polytope_vertices(rows, columns, 2) == [
+        [],
+        [(F(0), F(1)), (F(1), F(0))],
+        [(F(0), F(2)), (F(2), F(0))],
+    ]
+    # rank zero: every column is the origin
+    assert polytope_vertices([], [[], []], 3) == [[(F(0), F(0), F(0))]] * 2
 
 
 def test_boolean_logic_structure():
@@ -174,6 +200,53 @@ def test_cached_tables_match_direct_evaluation():
     assert conditionals == expected
     assert list(conditionals) == list(expected)  # event-then-vertex order
     assert logic.event_values() is values and logic.conditional_vertices() is conditionals
+
+
+@pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
+def test_barycentre_verdict_matches_random_interior_states(blocks):
+    # check_uc2's interior claim: where a conditional exists at every vertex
+    # state, uniqueness at the barycentre of the state vertices is
+    # uniqueness at every state in the relative interior.  Without that
+    # hypothesis it can fail: on the triangle, {1,5} has a conditional
+    # exactly where w4 >= w2, so at the barycentre but not at every
+    # interior state, and at one vertex it has none.
+    logic = FiniteLogic(blocks)
+    verts = logic.state_vertices()
+    rng = random.Random(sum(map(sum, blocks)))
+    verdicts = set()
+    for e in logic.events:
+        at_vertices, at_barycentre = logic.event_conditionals(e)
+        if not at_vertices or not all(at_vertices.values()):
+            continue
+        unique = len(at_barycentre) == 1
+        verdicts.add(unique)
+        for _ in range(20):
+            weights = [F(rng.randint(1, 9)) for _ in verts]
+            total = sum(weights)
+            mu = tuple(sum(w * v[a] for w, v in zip(weights, verts)) / total for a in range(logic.n))
+            assert (len(conditional_state_vertices(logic, mu, e)) == 1) == unique
+    assert verdicts == ({False, True} if blocks in (PASTED, TRIANGLE) else {True})
+
+
+def test_uc2_interior_stage_is_reported_after_every_vertex_passes(monkeypatch):
+    # no logic built so far fails only at the barycentre, so feed check_uc2
+    # a second conditional there
+    logic = FiniteLogic(BOOLEAN3)
+    solve = logic.event_conditionals
+    e = logic.event_by_atoms({1, 2})
+    second = (F(0), F(0), F(1))
+
+    def split_barycentre(f):
+        at_vertices, at_barycentre = solve(f)
+        return at_vertices, (at_barycentre + [second] if f == e else at_barycentre)
+
+    monkeypatch.setattr(logic, "event_conditionals", split_barycentre)
+    report = check_uc2(logic)
+    assert not report.passed
+    assert report.axiom == "UC2-interior"
+    assert report.witness == "event {1,2}, barycentre state"
+    assert [d["state_vertex"] for d in report.details if not d["unique"]] == ["barycentre"]
+    assert all(d["unique"] for d in report.details[:-1])
 
 
 def test_text_roundtrip():

@@ -106,7 +106,7 @@ def test_classify_boolean():
     assert record["scan"]["max_abs_i3"] == "0"
 
 
-def test_classify_solves_each_conditional_polytope_once(monkeypatch):
+def _count_solves(monkeypatch):
     calls = []
     original = finite.polytope_vertices
 
@@ -115,11 +115,51 @@ def test_classify_solves_each_conditional_polytope_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(finite, "polytope_vertices", counted)
+    return calls
+
+
+def test_classify_solves_each_conditional_polytope_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
     record = classify([(1, 2, 3, 4)])
     assert "scan" in record
-    # the state polytope, then one conditional polytope for each of the 4
-    # vertex states and the 8 events that contain its atom
-    assert len(calls) == 1 + 4 * 8
+    # the state polytope, then one solve for each of the 15 nonzero events.
+    # Each solve's right-hand-side columns are the conditional polytopes of
+    # the vertex states in the event and of the barycentre; each of the 4
+    # vertex states lies in 8 events.
+    assert len(calls) == 1 + 15
+    assert sum(len(columns) - 1 for _, columns, _ in calls[1:]) == 4 * 8
+
+
+PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]
+PENTAGON_SHA256 = "5d98eefc7a0945515f39bf577f03ae7f0ed827fe43d0cdfab2cc073879f5a615"
+
+
+def test_classify_pentagon_record_is_pinned():
+    # Wright's pentagon, a Greechie pasting of five 3-atom blocks in a cycle
+    record = classify(PENTAGON)
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == PENTAGON_SHA256
+    assert record["failure"]["stage"] == "UC2-uniqueness"
+    assert len(record["failure"]["details"]) == finite.MAX_UC2_FAILURES
+
+
+def test_classify_pentagon_stops_at_the_fifth_uc2_failure(monkeypatch):
+    # a solve per (event, vertex) pair would take 137 for this logic
+    calls = _count_solves(monkeypatch)
+    classify(PENTAGON)
+    assert len(calls) - 1 <= 3  # the state polytope is the first call
+
+
+def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(finite.FiniteLogic(PENTAGON).to_text())
+    assert main(["classify", "--logic", str(path)]) == 1
+    line = capsys.readouterr().out
+    assert line == json.dumps(classify(PENTAGON), sort_keys=True) + "\n"
+    assert hashlib.sha256(line[:-1].encode()).hexdigest() == PENTAGON_SHA256
+    out = tmp_path / "record.json"
+    assert main(["classify", "--logic", str(path), "--out", str(out)]) == 1
+    assert out.read_text() == line
 
 
 def test_classify_pasting_short_circuits_at_uc2():
