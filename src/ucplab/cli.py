@@ -139,8 +139,9 @@ def cmd_corridor(parser, args):
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["p", "q", "lower_ok", "upper_ok", "model", "seed", "trial"])
-        for i, r in enumerate(rows):
-            writer.writerow([repr(r.p), repr(r.q), r.lower_ok, r.upper_ok, model, args.seed, i])
+        writer.writerows(
+            (r.p, r.q, r.lower_ok, r.upper_ok, model, args.seed, i) for i, r in enumerate(rows)
+        )
         _emit(buffer.getvalue(), args.out)
     return 0 if ok else 1
 

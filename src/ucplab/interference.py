@@ -11,18 +11,20 @@ All the maps here are linear on the Hermitian elements of a matrix model:
 
 They are evaluated on one of two paths.
 
-Dense layer.  `_u_dense` applies U_g once to every element of
-`jordan.hermitian_basis` and returns U_g as a batched (..., D, D) matrix acting
-on coordinate columns.  `LinearOperator` holds one such matrix, and the
-basis-wide batteries (`lemma_suite`, `t_structure_battery`,
-`i3_basis_norm_max`) state every identity as sums and `@` products of them.
-`_i3_dense` builds each of the seven U terms of the third-order map on its
-own, so its vanishing is a numerical fact and not an algebraic cancellation.
+Dense layer.  `_u_dense` returns U_g as a batched (..., D, D) matrix acting
+on coordinate columns over `jordan.hermitian_basis`, built from the model's
+tabulated `jordan.structure_constants` as 2 L_g^2 - L_g with two BLAS
+products.  `LinearOperator` holds one such matrix, and the basis-wide
+batteries (`lemma_suite`, `t_structure_battery`, `i3_basis_norm_max`) state
+every identity as sums and `@` products of them.  `_i3_dense` builds each of
+the seven U terms of the third-order map on its own, so its vanishing is a
+numerical fact and not an algebraic cancellation.
 
 Vector path.  `corridor_sample`, `corridor_samples`, `symmetry_battery`,
 `a1_check` and `eq10_check` apply `jordan._u_apply` directly to the (batched)
-elements they draw.  They have no basis axis, and a dense build costs D
-applications (D = 27 for H_3(O)), so the large corridor batches stay on it.
+elements they draw.  They have no basis axis, so a D x D matrix per sample
+would only be applied once; staying on the element kernel also keeps the
+corridor CSVs byte-identical.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .jordan import (
     from_coords,
     hermitian_basis,
     quadratic_map_U,
+    structure_constants,
 )
 from .model import State
 
@@ -98,12 +101,15 @@ def _random_projections(rng, idem, parts=None):
 def _u_dense(desc: AlgebraDescriptor, g) -> np.ndarray:
     """U_g as (..., D, D) column-action matrices over `hermitian_basis`.
 
-    g holds raw idempotents with any leading batch axes; column b of each
-    matrix is the coordinate vector of U_g applied to basis element b.
+    g holds raw idempotents with any leading batch axes.  The multiplication
+    matrix L_g = sum_c coords(g)_c C[c] comes from the structure constants in
+    one product for the whole batch, and U_g = 2 L_g L_g - L_g is the map
+    x -> 2 g o (g o x) - g o x that `jordan._u_apply` computes.
     """
-    basis = hermitian_basis(desc)
-    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis, desc.table)
-    return np.einsum("aijc,...bijc->...ab", basis, images)
+    dim = desc.basis_dim
+    constants = structure_constants(desc).reshape(dim, dim * dim)
+    left = (coords(g, desc) @ constants).reshape(np.shape(g)[:-3] + (dim, dim))
+    return 2.0 * left @ left - left
 
 
 def _t_dense(u, u_comp) -> np.ndarray:

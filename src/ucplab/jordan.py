@@ -18,11 +18,18 @@ S = (T^2 - trace(x o x)) / 2 and N the Freudenthal determinant.
 Idempotents are Lagrange interpolation polynomials in the element itself,
 which works uniformly at every level because single-element subalgebras are
 associative.
+
+`hermitian_basis` is the orthonormal basis of the Hermitian elements for the
+trace form, and `structure_constants` tabulates the Jordan product over it:
+C[c, a, b] = <basis_a, basis_c o basis_b>, so L_g = sum_c coords(g)_c C[c] is
+the matrix of x -> g o x on coordinates.  Both are computed once per
+descriptor and returned read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -447,8 +454,12 @@ def random_state_density(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def hermitian_basis(desc: AlgebraDescriptor) -> np.ndarray:
-    """Orthonormal basis (D, n, n, d) for the trace form <x, y> = tr(x o y)."""
+    """Orthonormal basis (D, n, n, d) for the trace form <x, y> = tr(x o y).
+
+    Cached per descriptor and read-only.
+    """
     n, d = desc.n, desc.d
     out = np.zeros((desc.basis_dim, n, n, d))
     k = 0
@@ -462,6 +473,22 @@ def hermitian_basis(desc: AlgebraDescriptor) -> np.ndarray:
                 out[k, i, j, c] = r
                 out[k, j, i, c] = r if c == 0 else -r
                 k += 1
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def structure_constants(desc: AlgebraDescriptor) -> np.ndarray:
+    """Jordan product over `hermitian_basis`: C[c, a, b] = <basis_a, basis_c o basis_b>.
+
+    The (D, D, D) tensor is symmetric in all three indices (the product is
+    commutative and the trace form associative).  Cached per descriptor and
+    read-only.
+    """
+    basis = hermitian_basis(desc)
+    products = _jp(basis[:, None], basis[None, :], desc.table)  # (c, b, n, n, d)
+    out = np.ascontiguousarray(np.einsum("aijc,xbijc->xab", basis, products))
+    out.setflags(write=False)
     return out
 
 

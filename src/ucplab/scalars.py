@@ -2,7 +2,7 @@
 
 Basis units follow the doubling order: unit k of the doubled algebra with
 k >= d is e_{k-d} * e_d of the previous level, so the octonion table is
-fixed by the recursion alone.  The table can be dumped as CSV for auditing.
+fixed by the recursion alone.
 """
 
 from __future__ import annotations
@@ -55,21 +55,3 @@ def cd_conj(a: np.ndarray) -> np.ndarray:
 def cd_norm(a: np.ndarray) -> np.ndarray:
     """Composition norm: sum of squared coordinates."""
     return (np.asarray(a, dtype=float) ** 2).sum(axis=-1)
-
-
-def dump_multiplication_table(level: str = "O") -> str:
-    """CSV of signed unit indices: row i, column j holds e_i * e_j.
-
-    Entry '+k' / '-k' means the product is plus or minus unit k.
-    """
-    dim = LEVEL_DIM[level]
-    table = multiplication_table(dim)
-    lines = ["," + ",".join(f"e{j}" for j in range(dim))]
-    for i in range(dim):
-        cells = []
-        for j in range(dim):
-            k = int(np.argmax(np.abs(table[i, j])))
-            sign = "+" if table[i, j, k] > 0 else "-"
-            cells.append(f"{sign}{k}")
-        lines.append(f"e{i}," + ",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -3,12 +3,26 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ucplab import __version__
 from ucplab.cli import main
 from ucplab.search import classify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from ucplab.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 def run(capsys, *argv):
@@ -168,3 +182,20 @@ def test_byte_identical_reruns(tmp_path, capsys):
         main(["corridor", "--algebra", "H", "--dim", "2", "--trials", "20", "--seed", "5", "--out", str(path)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_octonions_stays_in_bounded_memory(tmp_path):
+    # the dense batteries keep a few (trials, 27, 27) matrices alive at once,
+    # about 130 MB at 1000 trials; the bound catches a per-trial stack of
+    # basis images or another trials-sized copy of the operators
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = ["verify", "--algebra", "O", "--dim", "3", "--trials", "1000", "--tol", "1e-8"]
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv, "--out", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"

@@ -32,6 +32,7 @@ from ucplab.jordan import (
     AlgebraElement,
     _u_apply,
     coords,
+    hermitian_basis,
     identity,
     random_element,
     random_projection,
@@ -40,6 +41,14 @@ from ucplab.jordan import (
 from ucplab.model import State, orthogonal
 
 MODELS = [("R", 2), ("R", 3), ("C", 2), ("C", 3), ("C", 4), ("H", 2), ("H", 3), ("O", 3)]
+
+
+def basis_image_u_dense(desc, g):
+    """Oracle for `_u_dense`: U_g applied by `_u_apply` to every element of
+    `hermitian_basis`, with column b holding the coordinates of U_g basis_b."""
+    basis = hermitian_basis(desc)
+    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis, desc.table)
+    return np.einsum("aijc,...bijc->...ab", basis, images)
 
 
 def test_u_operator_requires_idempotent():
@@ -130,6 +139,19 @@ def test_dense_builder_matches_vector_oracle(level, n):
     seven = uabc - uab - ubc - uac + ua + ub + uc
     assert np.abs(I2_operator(es[0], es[1])(y).entries - two).max() <= 1e-12
     assert np.abs(I3_operator(*es[:3])(y).entries - seven).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+@pytest.mark.parametrize("batch", [(), (4,), (4, 1)])
+def test_u_dense_matches_basis_image_oracle(level, n, batch):
+    desc = AlgebraDescriptor(level, n)
+    count = int(np.prod(batch, dtype=int))
+    g = np.stack(
+        [random_projection(desc, rank=1 + k % n, rng_seed=50 + k).entries for k in range(count)]
+    ).reshape(batch + (n, n, desc.d))
+    got = _u_dense(desc, g)
+    assert got.shape == batch + (desc.basis_dim, desc.basis_dim)
+    assert np.abs(got - basis_image_u_dense(desc, g)).max() <= 1e-12
 
 
 def test_operator_algebra_relations():

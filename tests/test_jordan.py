@@ -1,5 +1,6 @@
 """Oracle tests for the Hermitian matrix Jordan algebras."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ucplab.jordan import (
     AlgebraElement,
     DescriptorMismatchError,
     NonHermitianError,
+    _jp,
     _matmul,
     _to_complex,
     coords,
@@ -30,6 +32,7 @@ from ucplab.jordan import (
     random_projection,
     random_state_density,
     spectral_decompose,
+    structure_constants,
     trace,
     zero,
 )
@@ -85,8 +88,7 @@ def test_jordan_product_hand_oracle():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matmul_matches_einsum_oracle(algebra, shapes, swap, scale, seed):
-    # batch (4, 1) against (5,) is how _u_dense applies a batch of events to
-    # every basis element at once
+    # batch (4, 1) against (5,) broadcasts two independent batch axes
     desc = AlgebraDescriptor(*algebra)
     rng = np.random.default_rng(seed)
     shape_a, shape_b = shapes[::-1] if swap else shapes
@@ -217,6 +219,35 @@ def test_hermitian_basis_is_orthonormal(level, n):
     gram = np.einsum("aijc,bijc->ab", basis, basis)
     assert basis.shape[0] == desc.basis_dim
     assert np.allclose(gram, np.eye(desc.basis_dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_structure_constants_multiply_coordinates(level, n):
+    # L_g = sum_c coords(g)_c C[c] maps coords(y) to coords(g o y); the
+    # random g are not idempotent, so every coordinate of g is exercised
+    desc = AlgebraDescriptor(level, n)
+    g = np.stack([random_element(desc, rng_seed=17 + k).entries for k in range(5)])
+    y = random_element(desc, rng_seed=16).entries
+    left = np.einsum("...c,cab->...ab", coords(g, desc), structure_constants(desc))
+    expected = coords(_jp(g, y, desc.table), desc)
+    assert np.abs(left @ coords(y, desc) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_structure_constants_are_totally_symmetric(level, n):
+    table = structure_constants(AlgebraDescriptor(level, n))
+    for perm in itertools.permutations(range(3)):
+        assert np.abs(table - table.transpose(perm)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_cached_basis_and_constants_are_read_only(level, n):
+    desc = AlgebraDescriptor(level, n)
+    assert hermitian_basis(desc) is hermitian_basis(AlgebraDescriptor(level, n))
+    assert structure_constants(desc) is structure_constants(desc)
+    for table in (hermitian_basis(desc), structure_constants(desc)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_coords_roundtrip():

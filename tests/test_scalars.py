@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ucplab.scalars import cd_conj, cd_mul, cd_norm, dump_multiplication_table, multiplication_table
+from ucplab.scalars import cd_conj, cd_mul, cd_norm, multiplication_table
 
 
 def unit(dim, k):
@@ -86,14 +86,3 @@ def test_batched_multiplication_matches_loop():
     batch = mul(8, a, b)
     for k in range(5):
         assert np.allclose(batch[k], mul(8, a[k], b[k]))
-
-
-def test_dump_table_quaternions():
-    text = dump_multiplication_table("H")
-    lines = [line for line in text.strip().splitlines() if line]
-    assert len(lines) == 5  # header + 4 rows
-    # row for e1: e1*e1 = -e0, e1*e2 = e3
-    row1 = lines[2].split(",")
-    assert row1[0] == "e1"
-    assert row1[2] == "-0"
-    assert row1[3] == "+3"
