@@ -21,10 +21,13 @@ the seven U terms of the third-order map on its own, so its vanishing is a
 numerical fact and not an algebraic cancellation.
 
 Vector path.  `corridor_sample`, `corridor_samples`, `symmetry_battery`,
-`a1_check` and `eq10_check` apply `jordan._u_apply` directly to the (batched)
-elements they draw.  They have no basis axis, so a D x D matrix per sample
-would only be applied once; staying on the element kernel also keeps the
-corridor CSVs byte-identical.
+`a1_check` and `eq10_check` work on the (batched) elements they draw, with
+no basis axis, so a D x D matrix per sample would only be applied once.
+`corridor_samples` forms p = mu(U_e f) + mu(U_e' f) as
+mu(f - 4 (e o f - e o (e o f))): with e' = 1 - e, linearity alone sums the
+two compressions to that, so one e o f serves both and a batch costs two
+Jordan products instead of four.  The others apply `jordan._u_apply` to each
+compression.
 """
 
 from __future__ import annotations
@@ -61,14 +64,19 @@ from .jordan import (
 from .model import State
 
 
+# Trials per batch in `corridor_samples`, which bounds its memory: H_3(O)
+# holds about 10 KB per trial in flight.
+CORRIDOR_CHUNK = 4096
+
+
 class NotOrthogonalError(ValueError):
     pass
 
 
-def _require_orthogonal(desc, *events):
+def _require_orthogonal(*events):
     for i in range(len(events)):
         for j in range(i + 1, len(events)):
-            if not model._orthogonal(events[i], events[j], desc.table):
+            if not model._orthogonal(events[i], events[j]):
                 raise NotOrthogonalError("events must be mutually orthogonal")
 
 
@@ -171,13 +179,13 @@ def T_map(e: AlgebraElement) -> LinearOperator:
 def I2_operator(e1: AlgebraElement, e2: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
     a, b = e1.entries, e2.entries
-    _require_orthogonal(desc, a, b)
+    _require_orthogonal(a, b)
     return LinearOperator(desc, _u_dense(desc, a + b) - _u_dense(desc, a) - _u_dense(desc, b))
 
 
 def I3_operator(e1: AlgebraElement, e2: AlgebraElement, e3: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
-    _require_orthogonal(desc, e1.entries, e2.entries, e3.entries)
+    _require_orthogonal(e1.entries, e2.entries, e3.entries)
     return LinearOperator(desc, _i3_dense(desc, e1.entries, e2.entries, e3.entries))
 
 
@@ -243,36 +251,52 @@ def corridor_sample(mu: State, e: AlgebraElement, f: AlgebraElement, tol=1e-9) -
     return CorridorPoint(p, q, q >= 2 * p - 1 - tol, q <= 2 * p + tol)
 
 
+def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
+    """(rho, e, f) raw batches of `count` random states and events.
+
+    With classical=True everything is diagonal: rho is a random probability
+    vector and e, f are independent 0/1 masks.
+    """
+    if classical:
+        n = desc.n
+        diag = rng.random((count, n))
+        rho = np.zeros((count, n, n, desc.d))
+        e = np.zeros_like(rho)
+        f = np.zeros_like(rho)
+        idx = np.arange(n)
+        rho[:, idx, idx, 0] = diag / diag.sum(axis=1, keepdims=True)
+        e[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
+        f[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
+        return rho, e, f
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count)[1])
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count)[1])
+    x = _random_elements(desc, rng, count)
+    sq = _matmul(x, x)
+    return sq / _trace(sq)[:, None, None, None], e, f
+
+
 def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=False, tol=1e-9):
     """Batched corridor sampling of random (state, e, f) triples.
 
     With classical=True everything is drawn diagonal, which forces q = p
     (the no-interference diagonal of the corridor figure).
+
+    p = mu(U_e f) + mu(U_e' f) is evaluated as mu(f - 4 (e o f - e o (e o f))),
+    which is the sum of the two compressions by linearity alone (e' = 1 - e;
+    idempotency is not used), so one e o f serves both.  Trials are drawn
+    and evaluated in chunks of CORRIDOR_CHUNK, which bounds memory; a run of
+    at most one chunk draws exactly what one batch would.
     """
     rng = _rng(seed)
-    n, table = desc.n, desc.table
-    if classical:
-        diag = rng.random((trials, n))
-        rho_diag = diag / diag.sum(axis=1, keepdims=True)
-        rho = np.zeros((trials, n, n, desc.d))
-        e = np.zeros_like(rho)
-        f = np.zeros_like(rho)
-        idx = np.arange(n)
-        rho[:, idx, idx, 0] = rho_diag
-        e[:, idx, idx, 0] = rng.integers(0, 2, (trials, n)).astype(float)
-        f[:, idx, idx, 0] = rng.integers(0, 2, (trials, n)).astype(float)
-    else:
-        (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
-        (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
-        x = _random_elements(desc, rng, trials)
-        sq = _jp(x, x, table)
-        rho = sq / _trace(sq)[:, None, None, None]
-    ec = _identity(desc)[None] - e
-    p = _inner(rho, _u_apply(e, f, table)) + _inner(rho, _u_apply(ec, f, table))
-    q = _inner(rho, f)
-    lower_ok = q >= 2 * p - 1 - tol
-    upper_ok = q <= 2 * p + tol
-    rows = zip(p.tolist(), q.tolist(), lower_ok.tolist(), upper_ok.tolist())
+    rows = []
+    for start in range(0, trials, CORRIDOR_CHUNK):
+        rho, e, f = _corridor_draw(desc, rng, min(CORRIDOR_CHUNK, trials - start), classical)
+        ef = _jp(e, f)
+        p = _inner(rho, f - 4.0 * (ef - _jp(e, ef)))
+        q = _inner(rho, f)
+        lower_ok = q >= 2 * p - 1 - tol
+        upper_ok = q <= 2 * p + tol
+        rows.extend(zip(p.tolist(), q.tolist(), lower_ok.tolist(), upper_ok.tolist()))
     return [CorridorPoint(*row) for row in rows]
 
 
@@ -306,12 +330,11 @@ def _onorm(x, desc):
 def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
     """Defect arrays of the identities named in `symmetry_battery`, listed
     under its keys, for raw (batched) projections e and f."""
-    table = desc.table
     one = _identity(desc)
-    lhs = _u_apply(e, one - f, table) + _u_apply(one - e, f, table)
-    rhs = _u_apply(f, one - e, table) + _u_apply(one - f, e, table)
-    ue_f, uec_f = _u_apply(e, f, table), _u_apply(one - e, f, table)
-    uf_e, ufc_e = _u_apply(f, e, table), _u_apply(one - f, e, table)
+    lhs = _u_apply(e, one - f) + _u_apply(one - e, f)
+    rhs = _u_apply(f, one - e) + _u_apply(one - f, e)
+    ue_f, uec_f = _u_apply(e, f), _u_apply(one - e, f)
+    uf_e, ufc_e = _u_apply(f, e), _u_apply(one - f, e)
     t_e_f = 0.5 * (f + ue_f - uec_f)
     t_f_e = 0.5 * (e + uf_e - ufc_e)
     i2_difference = (f - ue_f - uec_f) - (e - uf_e - ufc_e)
@@ -320,7 +343,7 @@ def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
         "second_order_difference": [i2_difference - (2.0 * uf_e - 2.0 * ue_f)],
     }
     if desc.level != "O":
-        anticomm = e + f - _matmul(e, f, table) - _matmul(f, e, table)
+        anticomm = e + f - _matmul(e, f) - _matmul(f, e)
         defects["anticommutator_form"] = [lhs - anticomm, rhs - anticomm]
     return defects
 

@@ -8,16 +8,20 @@ Every product goes through one kernel, `_matmul`.  It folds the left factor
 and the structure constants into a real (n d) x (n d) left-multiplication
 matrix and applies it to the right factor with one batched BLAS `@`.  Each
 entry of a matrix product is a sum of products of two scalars, so the same
-code serves every level, the non-associative octonions included.
+code serves every level, the non-associative octonions included.  The
+scalar level is read off the last axis, and a square x o x is the single
+product `_matmul(x, x)`.
 
 Eigenvalues come from numpy's Hermitian solver on the real/complex forms
 (quaternions via the 2n x 2n complex adjoint representation) and, for the
 octonionic algebra, from the characteristic cubic
 lambda^3 - T lambda^2 + S lambda - N = 0 with T the trace,
-S = (T^2 - trace(x o x)) / 2 and N the Freudenthal determinant.
+S = (T^2 - trace(x o x)) / 2 and N the Freudenthal determinant; a root
+pair that rounding split is snapped back to the double root.
 Idempotents are Lagrange interpolation polynomials in the element itself,
 which works uniformly at every level because single-element subalgebras are
-associative.
+associative.  They are sums over the powers of the element centred on its
+mean eigenvalue, and the powers are shared by every idempotent.
 
 `hermitian_basis` is the orthonormal basis of the Hermitian elements for the
 trace form, and `structure_constants` tabulates the Jordan product over it:
@@ -37,9 +41,9 @@ from .scalars import LEVEL_DIM, LEVELS, cd_conj, multiplication_table
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
-# The one positivity tolerance, also held by `model.State`.  Rounding in the
-# O-level characteristic cubic puts the smallest eigenvalue of valid rank-one
-# conditional states near -1.5e-8, which DEFAULT_TOL would reject.
+# The one positivity tolerance, also held by `model.State`.  It leaves room
+# for the O-level characteristic cubic, whose nearly double roots lose about
+# half their digits to rounding.
 STATE_TOL = 1e-6
 # Idempotency residual |e∘e - e|, relative to the largest entry of e.
 IDEMPOTENT_TOL = 1e-6
@@ -94,22 +98,38 @@ class AlgebraDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(a, b, table):
+@lru_cache(maxsize=None)
+def _table_zxy(d: int) -> np.ndarray:
+    """`multiplication_table(d)` as contiguous (x, y) slices, one per z.
+
+    Cached per scalar dimension and read-only, so `_matmul` does no table
+    work per call.
+    """
+    out = np.ascontiguousarray(np.moveaxis(multiplication_table(d), 2, 0))
+    out.setflags(write=False)
+    return out
+
+
+def _matmul(a, b):
     """Matrix product over the scalar ring as one real block product.
 
-    a is folded with the structure constants into its left-multiplication
+    The scalar ring is read off the last axis, d.  a is folded with its
+    structure constants M = multiplication_table(d) into the left-multiplication
     matrix L(a)[(i, z), (k, y)] = sum_x a[i, k, x] M[x, y, z] of size
     (n d) x (n d), and b is laid out as (k, y) x j, so the product is a single
     batched BLAS `@` at every level.  Leading batch axes of a and b broadcast.
 
     L(a) comes out of the broadcast `@` in its final layout; building it
     through a (d, d d) reshape and a transpose costs one more L-sized copy.
-    The structure constants are copied into contiguous (x, y) slices, one per
-    z, because the fold runs several times faster on contiguous blocks.
+    The fold reads the structure constants as contiguous (x, y) slices, one
+    per z (`_table_zxy`), because it runs several times faster on contiguous
+    blocks.
+
+    A square needs only this kernel: x o x = (xx + xx) / 2 is `_matmul(x, x)`
+    bit for bit, since (m + m) / 2 = m exactly in floating point.
     """
     n, d = a.shape[-2], a.shape[-1]
-    table_zxy = np.ascontiguousarray(np.moveaxis(table, 2, 0))
-    left = (a[..., :, None, :, :] @ table_zxy).reshape(a.shape[:-3] + (n * d, n * d))
+    left = (a[..., :, None, :, :] @ _table_zxy(d)).reshape(a.shape[:-3] + (n * d, n * d))
     right = np.swapaxes(b, -1, -2).reshape(b.shape[:-3] + (n * d, n))
     out = left @ right
     return np.swapaxes(out.reshape(out.shape[:-2] + (n, d, n)), -1, -2)
@@ -124,8 +144,8 @@ def _hermitize(a):
     return 0.5 * (a + _conj_transpose(a))
 
 
-def _jp(a, b, table):
-    return 0.5 * (_matmul(a, b, table) + _matmul(b, a, table))
+def _jp(a, b):
+    return 0.5 * (_matmul(a, b) + _matmul(b, a))
 
 
 def _trace(a):
@@ -154,10 +174,10 @@ def _scale_identity(desc, values):
     return out
 
 
-def _u_apply(e, x, table):
+def _u_apply(e, x):
     """Conditionalization map U_e x = 2 e o (e o x) - e o x."""
-    ex = _jp(e, x, table)
-    return 2.0 * _jp(e, ex, table) - ex
+    ex = _jp(e, x)
+    return 2.0 * _jp(e, ex) - ex
 
 
 def _to_complex(a):
@@ -216,6 +236,17 @@ def _cubic_roots(t, s, n):
         df = (3.0 * roots - 2.0 * t[..., None]) * roots + s[..., None]
         step = np.where(np.abs(df) > 1e-12, f / np.where(df == 0, 1.0, df), 0.0)
         roots = roots - step
+    # Rounding in t, s and n, of order eps r^3 for the spectral radius r,
+    # moves a double root by about sqrt(eps) r, so it comes out as two roots
+    # up to ~1e-7 r apart.  Where the cubic vanishes to within that rounding
+    # at a critical point d = t/3 -/+ m/2, d is the double root and t - 2d
+    # the third one.
+    noise = 64.0 * np.finfo(float).eps * np.abs(roots).max(axis=-1) ** 3
+    for d, single in ((t / 3.0 - m / 2.0, 2), (t / 3.0 + m / 2.0, 0)):
+        merged = np.stack([d, d, d], axis=-1)
+        merged[..., single] = t - 2.0 * d
+        f = ((d - t) * d + s) * d - n
+        roots = np.where((np.abs(f) <= noise)[..., None], merged, roots)
     return np.sort(roots, axis=-1)
 
 
@@ -231,32 +262,52 @@ def _eigenvalues_raw(x, desc: AlgebraDescriptor):
         return pairs.mean(axis=-1)
     # octonionic: characteristic cubic of the Albert algebra
     t = _trace(x)
-    x2 = _jp(x, x, desc.table)
+    x2 = _matmul(x, x)
     s = 0.5 * (t**2 - _trace(x2))
     n = _freudenthal_det(x, desc.table)
     return _cubic_roots(t, s, n)
 
 
 def _lagrange_idempotents(x, eigvals, desc):
-    """Idempotent stack (..., n, n, n, d) for per-sample distinct eigenvalues.
+    """Idempotent stack (..., m, n, n, d) for m per-sample distinct eigenvalues.
+
+    The i-th idempotent is the Lagrange polynomial
+    P_i(t) = prod_{j != i} (t - lam_j) / (lam_i - lam_j) at x.  With s the
+    mean eigenvalue, y = x - s 1 and lam' = lam - s, it is sum_k c_ik y^k,
+    where c_ik are the monomial coefficients of
+    prod_{j != i} (t - lam'_j) / (lam'_i - lam'_j).  Centring keeps the powers
+    of y as small as the spread of the spectrum: on x + 50 1, powers of x
+    itself lose up to 1e-10 to cancellation at H_4(C).  The powers
+    y^2, ..., y^(m-1) are formed once and shared by every idempotent: y^2 =
+    y y is one product, and each higher power one Jordan product with y.
+    The coefficients cost O(m^2) elementwise work per idempotent.
 
     eigvals must be pairwise well separated in every sample; clustered
     spectra go through spectral_decompose instead.
     """
     m = eigvals.shape[-1]
-    table = desc.table
+    shift = eigvals @ np.full(m, 1.0 / m)  # the mean, without a slow short-axis reduction
+    lam = eigvals - shift[..., None]
+    y = x - _scale_identity(desc, shift)
+    powers = [None, y]
+    for k in range(2, m):
+        powers.append(_matmul(y, y) if k == 2 else _jp(powers[-1], y))
     parts = []
     for i in range(m):
-        acc = None
+        # t^k coefficients of P_i, lowest degree first, one factor at a time
+        coef = [np.ones(lam.shape[:-1])]
         for j in range(m):
-            if j == i:
-                continue
-            gap = eigvals[..., i] - eigvals[..., j]
-            factor = (x - _scale_identity(desc, eigvals[..., j])) / gap[..., None, None, None]
-            acc = factor if acc is None else _jp(acc, factor, table)
-        if acc is None:  # m == 1
-            acc = np.broadcast_to(_identity(desc), x.shape).copy()
-        parts.append(acc)
+            if j != i:
+                inv = 1.0 / (lam[..., i] - lam[..., j])
+                coef = (
+                    [-lam[..., j] * coef[0] * inv]
+                    + [(lo - lam[..., j] * hi) * inv for lo, hi in zip(coef, coef[1:])]
+                    + [coef[-1] * inv]
+                )
+        part = _scale_identity(desc, coef[0])
+        for c, power in zip(coef[1:], powers[1:]):
+            part += c[..., None, None, None] * power
+        parts.append(part)
     return np.stack(parts, axis=-4)
 
 
@@ -325,7 +376,7 @@ def zero(desc: AlgebraDescriptor) -> AlgebraElement:
 def jordan_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """x o y = (xy + yx) / 2 with the matrix product over the scalar ring."""
     x._check(y)
-    return AlgebraElement(x.descriptor, _jp(x.entries, y.entries, x.descriptor.table))
+    return AlgebraElement(x.descriptor, _jp(x.entries, y.entries))
 
 
 def trace(x: AlgebraElement) -> float:
@@ -338,7 +389,7 @@ def inner(x: AlgebraElement, y: AlgebraElement) -> float:
 
 
 def is_idempotent(e: AlgebraElement, tol=IDEMPOTENT_TOL) -> bool:
-    diff = _jp(e.entries, e.entries, e.descriptor.table) - e.entries
+    diff = _matmul(e.entries, e.entries) - e.entries
     return bool(np.abs(diff).max() <= tol * (1.0 + np.abs(e.entries).max()))
 
 
@@ -347,7 +398,7 @@ def quadratic_map_U(e: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     e._check(x)
     if not is_idempotent(e):
         raise NotIdempotentError("conditionalization requires an idempotent")
-    return AlgebraElement(e.descriptor, _u_apply(e.entries, x.entries, e.descriptor.table))
+    return AlgebraElement(e.descriptor, _u_apply(e.entries, x.entries))
 
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
@@ -442,7 +493,7 @@ def random_state_density(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
     rng = _rng(rng_seed)
     for _ in range(64):
         x = _random_elements(desc, rng)
-        sq = _jp(x, x, desc.table)
+        sq = _matmul(x, x)
         t = float(_trace(sq))
         if t > 1e-8:
             return AlgebraElement(desc, sq / t)
@@ -486,7 +537,7 @@ def structure_constants(desc: AlgebraDescriptor) -> np.ndarray:
     read-only.
     """
     basis = hermitian_basis(desc)
-    products = _jp(basis[:, None], basis[None, :], desc.table)  # (c, b, n, n, d)
+    products = _jp(basis[:, None], basis[None, :])  # (c, b, n, n, d)
     out = np.ascontiguousarray(np.einsum("aijc,xbijc->xab", basis, products))
     out.setflags(write=False)
     return out
@@ -517,7 +568,6 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0, max_power=8) 
     the order-unit norm.  Returns a dict of named worst-case residuals.
     """
     rng = _rng(seed)
-    table = desc.table
     x = _random_elements(desc, rng, trials)
     y = _random_elements(desc, rng, trials)
     norms_x = np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
@@ -525,29 +575,29 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0, max_power=8) 
     y = y / np.abs(_eigenvalues_raw(y, desc)).max(axis=-1)[:, None, None, None]
 
     powers = [None, x]
-    for _ in range(2, max_power + 1):
-        powers.append(_jp(powers[-1], x, table))
+    for k in range(2, max_power + 1):
+        powers.append(_matmul(x, x) if k == 2 else _jp(powers[-1], x))
 
     res = {}
     worst = 0.0
     for a in range(1, max_power):
         for b in range(a, max_power + 1 - a):
-            worst = max(worst, float(np.abs(_jp(powers[a], powers[b], table) - powers[a + b]).max()))
+            worst = max(worst, float(np.abs(_jp(powers[a], powers[b]) - powers[a + b]).max()))
     res["power_associativity"] = worst
 
     sq = powers[2]
-    lhs = _jp(_jp(sq, y, table), x, table)
-    rhs = _jp(sq, _jp(y, x, table), table)
+    lhs = _jp(_jp(sq, y), x)
+    rhs = _jp(sq, _jp(y, x))
     res["jordan_identity"] = float(np.abs(lhs - rhs).max())
 
-    sq_eigs = _eigenvalues_raw(_jp(y, y, table), desc)
+    sq_eigs = _eigenvalues_raw(_matmul(y, y), desc)
     res["squares_positive"] = max(0.0, -float(sq_eigs.min()))
 
     sq_norm = np.abs(_eigenvalues_raw(sq, desc)).max(axis=-1)
     x_norm = np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
     res["square_norm_law"] = float(np.abs(sq_norm - x_norm**2).max())
 
-    xy = _jp(x, y, table)
+    xy = _jp(x, y)
     xy_norm = np.abs(_eigenvalues_raw(_hermitize(xy), desc)).max(axis=-1)
     y_norm = np.abs(_eigenvalues_raw(y, desc)).max(axis=-1)
     res["norm_submultiplicative"] = max(0.0, float((xy_norm - x_norm * y_norm).max()))

@@ -66,16 +66,16 @@ def evaluate(mu: State, x: AlgebraElement) -> float:
     return inner(mu.density, x)
 
 
-def _orthogonal(a, b, table, tol=ORTHOGONALITY_TOL) -> bool:
+def _orthogonal(a, b, tol=ORTHOGONALITY_TOL) -> bool:
     """e o f = 0 on raw arrays, relative to the size of the entries."""
     scale = 1.0 + np.abs(a).max() + np.abs(b).max()
-    return bool(np.abs(jordan._jp(a, b, table)).max() <= tol * scale)
+    return bool(np.abs(jordan._jp(a, b)).max() <= tol * scale)
 
 
 def orthogonal(e: AlgebraElement, f: AlgebraElement, tol=ORTHOGONALITY_TOL) -> bool:
     """Events are orthogonal iff e + f is again an event, i.e. e o f = 0."""
     e._check(f)
-    return _orthogonal(e.entries, f.entries, e.descriptor.table, tol)
+    return _orthogonal(e.entries, f.entries, tol)
 
 
 def complement(e: AlgebraElement) -> AlgebraElement:

@@ -199,3 +199,19 @@ def test_verify_octonions_stays_in_bounded_memory(tmp_path):
     assert done.returncode == 0, done.stderr
     peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_corridor_octonions_stays_in_bounded_memory(tmp_path):
+    # corridor_samples draws and evaluates its trials in chunks of
+    # CORRIDOR_CHUNK; unchunked, 50 000 trials took about 530 MB
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = ["corridor", "--algebra", "O", "--dim", "3", "--trials", "50000"]
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, *argv, "--out", str(tmp_path / "corridor.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"

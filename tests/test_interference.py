@@ -26,10 +26,13 @@ from ucplab.interference import (
     symmetry_battery,
     t_structure_battery,
 )
-from ucplab.interference import _u_dense
+from ucplab import interference
+from ucplab.interference import _corridor_draw, _u_dense
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
+    _identity,
+    _inner,
     _u_apply,
     coords,
     hermitian_basis,
@@ -47,7 +50,7 @@ def basis_image_u_dense(desc, g):
     """Oracle for `_u_dense`: U_g applied by `_u_apply` to every element of
     `hermitian_basis`, with column b holding the coordinates of U_g basis_b."""
     basis = hermitian_basis(desc)
-    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis, desc.table)
+    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis)
     return np.einsum("aijc,...bijc->...ab", basis, images)
 
 
@@ -113,17 +116,16 @@ def test_i3_dense_sweep(level, n):
 @pytest.mark.parametrize("level,n", MODELS)
 def test_dense_builder_matches_vector_oracle(level, n):
     desc = AlgebraDescriptor(level, n)
-    table = desc.table
     g = np.stack([random_projection(desc, rank=1 + k % n, rng_seed=20 + k).entries for k in range(4)])
     x = np.stack([random_element(desc, rng_seed=30 + k).entries for k in range(4)])
     dense = _u_dense(desc, g)
     assert dense.shape == (4, desc.basis_dim, desc.basis_dim)
     # the batched matrices act on coordinates as U_g acts on elements
     image = (dense @ coords(x, desc)[..., None])[..., 0]
-    assert np.abs(image - coords(_u_apply(g, x, table), desc)).max() <= 1e-12
+    assert np.abs(image - coords(_u_apply(g, x), desc)).max() <= 1e-12
     # a product U_e @ U_f applies U_f first, then U_e
     e, f = g[0], g[1]
-    composed = coords(_u_apply(e, _u_apply(f, x[0], table), table), desc)
+    composed = coords(_u_apply(e, _u_apply(f, x[0])), desc)
     assert np.abs(dense[0] @ dense[1] @ coords(x[0], desc) - composed).max() <= 1e-12
     # I2_operator and I3_operator agree with the sums of vector compressions
     es = list(spectral_decompose(random_element(desc, rng_seed=40)).idempotents)
@@ -133,7 +135,7 @@ def test_dense_builder_matches_vector_oracle(level, n):
     y = random_element(desc, rng_seed=41)
 
     ua, ub, uc, uab, ubc, uac, uabc = (
-        _u_apply(p, y.entries, table) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
+        _u_apply(p, y.entries) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
     )
     two = uab - ua - ub
     seven = uabc - uab - ubc - uac + ua + ub + uc
@@ -175,8 +177,39 @@ def test_corridor_random_sweep(level, n):
 
 
 def test_corridor_classical_diagonal():
-    points = corridor_samples(AlgebraDescriptor("C", 3), 200, seed=13, classical=True)
-    assert max(abs(p.p - p.q) for p in points) <= 1e-12
+    # for diagonal 0/1 events e o f - e o (e o f) is exactly zero, so p == q
+    for level, n in MODELS:
+        points = corridor_samples(AlgebraDescriptor(level, n), 200, seed=13, classical=True)
+        assert all(pt.p == pt.q for pt in points), (level, n)
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_corridor_p_matches_two_compression_oracle(level, n):
+    # p = mu(U_e f) + mu(U_e' f) with each compression applied on its own
+    desc = AlgebraDescriptor(level, n)
+    rho, e, f = _corridor_draw(desc, np.random.default_rng(15), 200, classical=False)
+    p = _inner(rho, _u_apply(e, f)) + _inner(rho, _u_apply(_identity(desc) - e, f))
+    points = corridor_samples(desc, 200, seed=15)
+    assert np.abs(np.array([pt.p for pt in points]) - p).max() <= 1e-13
+    assert [pt.q for pt in points] == _inner(rho, f).tolist()
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_corridor_chunks_draw_in_sequence(monkeypatch, classical):
+    desc = AlgebraDescriptor("C", 3)
+    whole = corridor_samples(desc, 5, seed=17, classical=classical)
+    monkeypatch.setattr(interference, "CORRIDOR_CHUNK", 5)
+    # one full chunk draws exactly what one batch does
+    assert corridor_samples(desc, 5, seed=17, classical=classical) == whole
+    # later chunks continue the same generator
+    chunked = corridor_samples(desc, 12, seed=17, classical=classical)
+    assert len(chunked) == 12 and chunked[:5] == whole
+    rng = np.random.default_rng(17)
+    rows = []
+    for count in (5, 5, 2):
+        rho, e, f = _corridor_draw(desc, rng, count, classical)
+        rows.extend(_inner(rho, f).tolist())
+    assert [pt.q for pt in chunked] == rows
 
 
 @pytest.mark.parametrize("level,n", MODELS)

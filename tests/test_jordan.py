@@ -8,13 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucplab.scalars import multiplication_table
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     DescriptorMismatchError,
     NonHermitianError,
+    _cubic_roots,
+    _eigenvalues_raw,
+    _identity,
     _jp,
+    _lagrange_idempotents,
     _matmul,
+    _random_elements,
+    _scale_identity,
+    _separated_spectral_batch,
+    _table_zxy,
     _to_complex,
     coords,
     eigenvalues,
@@ -48,6 +57,26 @@ def einsum_matmul(a, b, table):
     scalar ring as two einsum contractions with the structure constants."""
     bt = np.einsum("...kjy,xyz->...kjxz", b, table)
     return np.einsum("...ikx,...kjxz->...ijz", a, bt)
+
+
+def product_lagrange_idempotents(x, eigvals, desc):
+    """Oracle for `_lagrange_idempotents`: each Lagrange polynomial as a
+    Jordan product of its factors (x - lam_j 1) / (lam_i - lam_j), formed
+    again for every idempotent."""
+    m = eigvals.shape[-1]
+    parts = []
+    for i in range(m):
+        acc = None
+        for j in range(m):
+            if j == i:
+                continue
+            gap = eigvals[..., i] - eigvals[..., j]
+            factor = (x - _scale_identity(desc, eigvals[..., j])) / gap[..., None, None, None]
+            acc = factor if acc is None else _jp(acc, factor)
+        if acc is None:  # m == 1
+            acc = np.broadcast_to(_identity(desc), x.shape).copy()
+        parts.append(acc)
+    return np.stack(parts, axis=-4)
 
 
 def element(level, n, complex_matrix):
@@ -94,7 +123,7 @@ def test_matmul_matches_einsum_oracle(algebra, shapes, swap, scale, seed):
     shape_a, shape_b = shapes[::-1] if swap else shapes
     a = scale * rng.standard_normal(shape_a + (desc.n, desc.n, desc.d))
     b = scale * rng.standard_normal(shape_b + (desc.n, desc.n, desc.d))
-    got = _matmul(a, b, desc.table)
+    got = _matmul(a, b)
     expected = einsum_matmul(a, b, desc.table)
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
@@ -106,7 +135,7 @@ def test_matmul_is_the_complex_matrix_product():
     a = rng.standard_normal((6, 3, 3, 2))
     b = rng.standard_normal((6, 3, 3, 2))
     expected = _to_complex(a) @ _to_complex(b)
-    assert np.abs(_to_complex(_matmul(a, b, desc.table)) - expected).max() <= 1e-13
+    assert np.abs(_to_complex(_matmul(a, b)) - expected).max() <= 1e-13
 
 
 def test_trace_and_inner_complex_oracle():
@@ -229,7 +258,7 @@ def test_structure_constants_multiply_coordinates(level, n):
     g = np.stack([random_element(desc, rng_seed=17 + k).entries for k in range(5)])
     y = random_element(desc, rng_seed=16).entries
     left = np.einsum("...c,cab->...ab", coords(g, desc), structure_constants(desc))
-    expected = coords(_jp(g, y, desc.table), desc)
+    expected = coords(_jp(g, y), desc)
     assert np.abs(left @ coords(y, desc) - expected).max() <= 1e-12
 
 
@@ -287,3 +316,99 @@ def test_degenerate_spectrum_clusters_idempotents():
     form = spectral_decompose(x)
     assert len(form.idempotents) == 1
     assert form.eigenvalues[0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# spectral idempotents on the shared power basis
+# ---------------------------------------------------------------------------
+
+
+def spectral_draws(desc, kind, count=100, seed=31):
+    """(x, eigenvalues) batches for the idempotent tests.
+
+    random: the sampler's own draws.  shifted: the same draws plus 50 1,
+    which only the centring keeps from cancelling in the powers.  small_gap:
+    x = sum lam_i P_i over a random spectral batch, with the two lowest
+    eigenvalues just above the sampler's smallest accepted gap, 1e-4 scale.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "small_gap":
+        _, idem = _separated_spectral_batch(desc, rng, count)
+        lam = np.linspace(-1.0, 1.0, desc.n)
+        lam[1] = lam[0] + 1.01e-4 * (1.0 + np.abs(lam).max())
+        x = np.einsum("i,bijkc->bjkc", lam, idem)
+    else:
+        x = _random_elements(desc, rng, count)
+        if kind == "shifted":
+            x = x + 50.0 * _identity(desc)
+    return x, _eigenvalues_raw(x, desc)
+
+
+# (agreement with the product-form oracle, idempotent/orthogonal/sum defects)
+SPECTRAL_TOL = {"random": (1e-13, 1e-12), "shifted": (1e-13, 1e-10), "small_gap": (1e-10, 1e-7)}
+
+
+@pytest.mark.parametrize("kind", sorted(SPECTRAL_TOL))
+@pytest.mark.parametrize("level,n", MODELS)
+def test_power_basis_idempotents(level, n, kind):
+    desc = AlgebraDescriptor(level, n)
+    x, vals = spectral_draws(desc, kind)
+    scale = 1.0 + np.abs(vals).max(axis=-1)
+    gaps = np.diff(vals, axis=-1).min(axis=-1)
+    assert (gaps > 1e-4 * scale).all()  # the sampler would accept every draw
+    if kind == "small_gap":
+        assert (gaps < 1.02e-4 * scale).all()
+    agree, defect = SPECTRAL_TOL[kind]
+    idem = _lagrange_idempotents(x, vals, desc)
+    assert np.abs(idem - product_lagrange_idempotents(x, vals, desc)).max() <= agree
+    for i in range(n):
+        assert np.abs(_matmul(idem[:, i], idem[:, i]) - idem[:, i]).max() <= defect
+        for j in range(i + 1, n):
+            assert np.abs(_jp(idem[:, i], idem[:, j])).max() <= defect
+    assert np.abs(idem.sum(axis=1) - _identity(desc)).max() <= defect
+
+
+@pytest.mark.parametrize("rank", ["one", "corank_one"])
+@pytest.mark.parametrize("level,n", MODELS)
+def test_spectral_decompose_clustered_spectrum(level, n, rank):
+    # x = 1 + p has the eigenvalue 1 with multiplicity n - rank(p) and 2 with
+    # multiplicity rank(p); at H_3(O) the repeated root is a double root of
+    # the characteristic cubic
+    desc = AlgebraDescriptor(level, n)
+    for seed in range(5):
+        p = random_projection(desc, 1 if rank == "one" else n - 1, rng_seed=60 + seed)
+        x = identity(desc) + p
+        form = spectral_decompose(x)
+        assert len(form.idempotents) == 2
+        assert np.abs(np.array(form.eigenvalues) - [1.0, 2.0]).max() <= 1e-12
+        assert np.abs(form.reconstruct().entries - x.entries).max() <= 1e-12
+        assert np.abs(form.idempotents[1].entries - p.entries).max() <= 1e-12
+
+
+@pytest.mark.parametrize("split", [0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3])
+def test_cubic_roots_near_a_double_root(split):
+    # the roots 1, 1 + split, 2 from exact invariants; a double root moves by
+    # about sqrt(eps) under rounding unless it is snapped to the critical point
+    roots = np.array([1.0, 1.0 + split, 2.0])
+    t = roots.sum()
+    s = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+    n = roots.prod()
+    got = _cubic_roots(np.array(t), np.array(s), np.array(n))
+    assert np.abs(got - roots).max() <= max(1e-14, split)
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+@pytest.mark.parametrize("batch", [(), (4,), (4, 1)])
+def test_square_is_one_product(level, n, batch):
+    # x o x = (xx + xx) / 2 is the single product xx bit for bit
+    desc = AlgebraDescriptor(level, n)
+    x = np.random.default_rng(5).standard_normal(batch + (n, n, desc.d))
+    assert np.array_equal(_matmul(x, x), _jp(x, x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_matmul_table_is_cached_read_only(d):
+    table = _table_zxy(d)
+    assert table is _table_zxy(d)
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert np.array_equal(table, np.moveaxis(multiplication_table(d), 2, 0))
