@@ -312,22 +312,6 @@ class FiniteLogic:
         )
         return dict(zip(positive, at_vertices)), at_barycentre
 
-    def conditional_vertices(self):
-        """{(event key, vertex index): conditional-state vertices} (cached).
-
-        One entry, in event then vertex order, for every event e and vertex
-        state v with mu_v(e) > 0 (so never the zero event), read from
-        `event_conditionals(e)`.
-        """
-        return self._once(self._conditional_vertices)
-
-    def _conditional_vertices(self):
-        return {
-            (e.key, vi): cond
-            for e in self.events
-            for vi, cond in self.event_conditionals(e)[0].items()
-        }
-
     def sub_events(self, e: FiniteEvent):
         """{f : f orthogonal to e'} = the events below e."""
         ec = self.complement(e)
@@ -556,7 +540,13 @@ def check_uc2(logic: FiniteLogic) -> CheckReport:
 def conditional_table(logic: FiniteLogic):
     """conditionals[(event key, vertex index)] -> conditional weight vector.
 
+    Read from the cached `event_conditionals`, in event then vertex order.
     Only defined where the conditional exists uniquely; call after check_uc2
     passed.
     """
-    return {key: cond[0] for key, cond in logic.conditional_vertices().items() if len(cond) == 1}
+    return {
+        (e.key, vi): cond[0]
+        for e in logic.events
+        for vi, cond in logic.event_conditionals(e)[0].items()
+        if len(cond) == 1
+    }

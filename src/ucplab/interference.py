@@ -9,25 +9,21 @@ All the maps here are linear on the Hermitian elements of a matrix model:
   I2(e1, e2) = U_{e1+e2} - U_{e1} - U_{e2}
   I3(e1, e2, e3) = U_{e1+e2+e3} - sum of pair terms + sum of single terms
 
-They are evaluated on one of two paths.
-
-Dense layer.  `_u_dense` returns U_g as a batched (..., D, D) matrix acting
-on coordinate columns over `jordan.hermitian_basis`, built from the model's
-tabulated `jordan.structure_constants` as 2 L_g^2 - L_g with two BLAS
-products.  `LinearOperator` holds one such matrix, and the basis-wide
-batteries (`lemma_suite`, `t_structure_battery`, `i3_basis_norm_max`) state
-every identity as sums and `@` products of them.  `_i3_dense` builds each of
-the seven U terms of the third-order map on its own, so its vanishing is a
+Every compression is the batched (..., D, D) matrix that `jordan._u_dense`
+builds from the model's tabulated `jordan.structure_constants`; it acts on
+coordinate columns over `jordan.hermitian_basis`.  `LinearOperator` holds
+one such matrix, and every battery states its identities as sums and `@`
+products of them, applied to coordinate columns where an identity acts on
+events.  `_interference_dense` is the one alternating sum behind I2 and I3.
+It builds each compression on its own, so the vanishing of I3 is a
 numerical fact and not an algebraic cancellation.
 
-Vector path.  `corridor_sample`, `corridor_samples`, `symmetry_battery`,
-`a1_check` and `eq10_check` work on the (batched) elements they draw, with
-no basis axis, so a D x D matrix per sample would only be applied once.
-`corridor_samples` forms p = mu(U_e f) + mu(U_e' f) as
-mu(f - 4 (e o f - e o (e o f))): with e' = 1 - e, linearity alone sums the
-two compressions to that, so one e o f serves both and a batch costs two
-Jordan products instead of four.  The others apply `jordan._u_apply` to each
-compression.
+The corridor needs no matrix.  With e' = 1 - e, linearity alone sums the two
+compressions in p = mu(U_e f) + mu(U_e' f) to mu(f - 4 (e o f - e o (e o f))),
+so `_corridor_rows` evaluates p with two Jordan products and no basis axis,
+for one sample and for a batch alike.  On the dyadic entries of
+`saturating_configuration` every step is exact, so that point lands on
+(1/2, 1) exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -45,7 +42,7 @@ from .jordan import (
     AlgebraElement,
     NotIdempotentError,
     _eigenvalues_raw,
-    _hermitize,
+    _from_coords,
     _identity,
     _inner,
     _jp,
@@ -54,12 +51,9 @@ from .jordan import (
     _rng,
     _separated_spectral_batch,
     _trace,
-    _u_apply,
+    _u_dense,
     coords,
     from_coords,
-    hermitian_basis,
-    quadratic_map_U,
-    structure_constants,
 )
 from .model import State
 
@@ -102,22 +96,8 @@ def _random_projections(rng, idem, parts=None):
 
 
 # ---------------------------------------------------------------------------
-# dense layer
+# operators
 # ---------------------------------------------------------------------------
-
-
-def _u_dense(desc: AlgebraDescriptor, g) -> np.ndarray:
-    """U_g as (..., D, D) column-action matrices over `hermitian_basis`.
-
-    g holds raw idempotents with any leading batch axes.  The multiplication
-    matrix L_g = sum_c coords(g)_c C[c] comes from the structure constants in
-    one product for the whole batch, and U_g = 2 L_g L_g - L_g is the map
-    x -> 2 g o (g o x) - g o x that `jordan._u_apply` computes.
-    """
-    dim = desc.basis_dim
-    constants = structure_constants(desc).reshape(dim, dim * dim)
-    left = (coords(g, desc) @ constants).reshape(np.shape(g)[:-3] + (dim, dim))
-    return 2.0 * left @ left - left
 
 
 def _t_dense(u, u_comp) -> np.ndarray:
@@ -125,22 +105,16 @@ def _t_dense(u, u_comp) -> np.ndarray:
     return 0.5 * (np.eye(u.shape[-1]) + u - u_comp)
 
 
-def _i3_dense(desc: AlgebraDescriptor, g1, g2, g3) -> np.ndarray:
-    """The seven-term third-order map, each compression built on its own."""
-    return (
-        _u_dense(desc, g1 + g2 + g3)
-        - _u_dense(desc, g1 + g2)
-        - _u_dense(desc, g2 + g3)
-        - _u_dense(desc, g1 + g3)
-        + _u_dense(desc, g1)
-        + _u_dense(desc, g2)
-        + _u_dense(desc, g3)
-    )
-
-
-def _elements(columns, desc: AlgebraDescriptor) -> np.ndarray:
-    """Raw elements (..., n, n, d) from coordinate columns (..., D, 1)."""
-    return np.einsum("...a,aijc->...ijc", columns[..., 0], hermitian_basis(desc))
+def _interference_dense(desc: AlgebraDescriptor, *parts) -> np.ndarray:
+    """The alternating sum of (-1)^(k - |S|) U_{sum of S} over the nonempty
+    subsets S of the k parts: I2 for two parts and I3 for three.  Each
+    compression is built on its own."""
+    k = len(parts)
+    total = 0.0
+    for size in range(k, 0, -1):
+        for subset in combinations(parts, size):
+            total = total + (-1.0) ** (k - size) * _u_dense(desc, sum(subset))
+    return total
 
 
 @dataclass(frozen=True)
@@ -178,15 +152,14 @@ def T_map(e: AlgebraElement) -> LinearOperator:
 
 def I2_operator(e1: AlgebraElement, e2: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
-    a, b = e1.entries, e2.entries
-    _require_orthogonal(a, b)
-    return LinearOperator(desc, _u_dense(desc, a + b) - _u_dense(desc, a) - _u_dense(desc, b))
+    _require_orthogonal(e1.entries, e2.entries)
+    return LinearOperator(desc, _interference_dense(desc, e1.entries, e2.entries))
 
 
 def I3_operator(e1: AlgebraElement, e2: AlgebraElement, e3: AlgebraElement) -> LinearOperator:
     desc = e1.descriptor
     _require_orthogonal(e1.entries, e2.entries, e3.entries)
-    return LinearOperator(desc, _i3_dense(desc, e1.entries, e2.entries, e3.entries))
+    return LinearOperator(desc, _interference_dense(desc, e1.entries, e2.entries, e3.entries))
 
 
 def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
@@ -201,7 +174,8 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     for start in range(0, trials, 200):
         count = min(200, trials - start)
         _, idem = _separated_spectral_batch(desc, rng, count)
-        worst = max(worst, _worst(_i3_dense(desc, *_random_projections(rng, idem, parts=3))))
+        parts = _random_projections(rng, idem, parts=3)
+        worst = max(worst, _worst(_interference_dense(desc, *parts)))
     return worst
 
 
@@ -243,12 +217,26 @@ class CorridorPoint:
     upper_ok: bool  # q <= 2p
 
 
+def _corridor_rows(rho, e, f, tol):
+    """(p, q, lower_ok, upper_ok) arrays for raw batches of states and events.
+
+    p = mu(U_e f) + mu(U_e' f) is evaluated as mu(f - 4 (e o f - e o (e o f))),
+    which is the sum of the two compressions by linearity alone (e' = 1 - e;
+    idempotency is not used), so one e o f serves both.
+    """
+    ef = _jp(e, f)
+    p = _inner(rho, f - 4.0 * (ef - _jp(e, ef)))
+    q = _inner(rho, f)
+    return p, q, q >= 2 * p - 1 - tol, q <= 2 * p + tol
+
+
 def corridor_sample(mu: State, e: AlgebraElement, f: AlgebraElement, tol=1e-9) -> CorridorPoint:
-    p = model.evaluate(mu, quadratic_map_U(e, f)) + model.evaluate(
-        mu, quadratic_map_U(model.complement(e), f)
-    )
-    q = model.evaluate(mu, f)
-    return CorridorPoint(p, q, q >= 2 * p - 1 - tol, q <= 2 * p + tol)
+    e._check(f)
+    mu.density._check(e)
+    if not jordan.is_idempotent(e):
+        raise NotIdempotentError("conditionalization requires an idempotent")
+    rows = _corridor_rows(mu.density.entries[None], e.entries[None], f.entries[None], tol)
+    return CorridorPoint(*(row[0].item() for row in rows))
 
 
 def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
@@ -281,22 +269,14 @@ def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=Fal
     With classical=True everything is drawn diagonal, which forces q = p
     (the no-interference diagonal of the corridor figure).
 
-    p = mu(U_e f) + mu(U_e' f) is evaluated as mu(f - 4 (e o f - e o (e o f))),
-    which is the sum of the two compressions by linearity alone (e' = 1 - e;
-    idempotency is not used), so one e o f serves both.  Trials are drawn
-    and evaluated in chunks of CORRIDOR_CHUNK, which bounds memory; a run of
-    at most one chunk draws exactly what one batch would.
+    Trials are drawn and evaluated in chunks of CORRIDOR_CHUNK, which bounds
+    memory; a run of at most one chunk draws exactly what one batch would.
     """
     rng = _rng(seed)
     rows = []
     for start in range(0, trials, CORRIDOR_CHUNK):
         rho, e, f = _corridor_draw(desc, rng, min(CORRIDOR_CHUNK, trials - start), classical)
-        ef = _jp(e, f)
-        p = _inner(rho, f - 4.0 * (ef - _jp(e, ef)))
-        q = _inner(rho, f)
-        lower_ok = q >= 2 * p - 1 - tol
-        upper_ok = q <= 2 * p + tol
-        rows.extend(zip(p.tolist(), q.tolist(), lower_ok.tolist(), upper_ok.tolist()))
+        rows.extend(zip(*(row.tolist() for row in _corridor_rows(rho, e, f, tol))))
     return [CorridorPoint(*row) for row in rows]
 
 
@@ -319,31 +299,36 @@ def saturating_configuration(desc: AlgebraDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# symmetry condition (vector path)
+# symmetry condition
 # ---------------------------------------------------------------------------
 
 
-def _onorm(x, desc):
-    return float(np.abs(_eigenvalues_raw(_hermitize(x), desc)).max())
+def _onorm(column, desc):
+    """Order-unit norm of the element with coordinate column (D, 1)."""
+    return float(np.abs(_eigenvalues_raw(_from_coords(column[..., 0], desc), desc)).max())
 
 
 def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
-    """Defect arrays of the identities named in `symmetry_battery`, listed
-    under its keys, for raw (batched) projections e and f."""
+    """Defect coordinate columns (..., D, 1) of the identities named in
+    `symmetry_battery`, listed under its keys, for raw (batched)
+    projections e and f."""
     one = _identity(desc)
-    lhs = _u_apply(e, one - f) + _u_apply(one - e, f)
-    rhs = _u_apply(f, one - e) + _u_apply(one - f, e)
-    ue_f, uec_f = _u_apply(e, f), _u_apply(one - e, f)
-    uf_e, ufc_e = _u_apply(f, e), _u_apply(one - f, e)
-    t_e_f = 0.5 * (f + ue_f - uec_f)
-    t_f_e = 0.5 * (e + uf_e - ufc_e)
-    i2_difference = (f - ue_f - uec_f) - (e - uf_e - ufc_e)
+    u_e, u_ec = _u_dense(desc, e), _u_dense(desc, one - e)
+    u_f, u_fc = _u_dense(desc, f), _u_dense(desc, one - f)
+    c_one, ce, cf = (coords(a, desc)[..., None] for a in (one, e, f))
+    ue_f, uec_f = u_e @ cf, u_ec @ cf
+    uf_e, ufc_e = u_f @ ce, u_fc @ ce
+    lhs = u_e @ (c_one - cf) + uec_f
+    rhs = u_f @ (c_one - ce) + ufc_e
+    t_e_f = 0.5 * (cf + ue_f - uec_f)
+    t_f_e = 0.5 * (ce + uf_e - ufc_e)
+    i2_difference = (cf - ue_f - uec_f) - (ce - uf_e - ufc_e)
     defects = {
         "compression_symmetry": [lhs - rhs, t_e_f - t_f_e],
         "second_order_difference": [i2_difference - (2.0 * uf_e - 2.0 * ue_f)],
     }
     if desc.level != "O":
-        anticomm = e + f - _matmul(e, f) - _matmul(f, e)
+        anticomm = coords(e + f - _matmul(e, f) - _matmul(f, e), desc)[..., None]
         defects["anticommutator_form"] = [lhs - anticomm, rhs - anticomm]
     return defects
 
@@ -392,7 +377,7 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# basis-wide batteries (dense layer)
+# basis-wide batteries
 # ---------------------------------------------------------------------------
 
 
@@ -415,8 +400,8 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 
     x = _random_elements(desc, rng, trials)
     x = x / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None, None]
-    tx = _elements(t_e @ coords(x, desc)[..., None], desc)
-    tx_norm = np.abs(_eigenvalues_raw(_hermitize(tx), desc)).max()
+    tx = _from_coords((t_e @ coords(x, desc)[..., None])[..., 0], desc)
+    tx_norm = np.abs(_eigenvalues_raw(tx, desc)).max()
     ce = coords(e, desc)[..., None]
 
     return {
@@ -476,9 +461,10 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     res["t_commute"] = _worst(t_e @ t_f - t_f @ t_e)
 
     # (d) third-order identities on a basis
-    factored = _u_dense(desc, g1 + g2 + g3) @ _i3_dense(desc, one - g2 - g3, g2, g3)
-    res["i3_factorization"] = _worst(_i3_dense(desc, g1, g2, g3) - factored)
-    res["t_defect_is_i3"] = _worst(t_e + t_f - t_ef - 0.5 * _i3_dense(desc, e, f, one - e_f))
+    factored = _u_dense(desc, g1 + g2 + g3) @ _interference_dense(desc, one - g2 - g3, g2, g3)
+    res["i3_factorization"] = _worst(_interference_dense(desc, g1, g2, g3) - factored)
+    i3 = _interference_dense(desc, e, f, one - e_f)
+    res["t_defect_is_i3"] = _worst(t_e + t_f - t_ef - 0.5 * i3)
 
     # (e) T additivity on orthogonal pairs
     res["t_additive"] = _worst(t_ef - t_e - t_f)
@@ -491,10 +477,8 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     # (g) operator norm of T_e: witness plus sampled unit ball
     res["t_fixes_e"] = _worst(t_e @ ce - ce)
     unit = cx / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None]
-    tx = _elements(t_e @ unit, desc)
-    res["t_norm_excess"] = max(
-        0.0, float(np.abs(_eigenvalues_raw(_hermitize(tx), desc)).max() - 1.0)
-    )
+    tx = _from_coords((t_e @ unit)[..., 0], desc)
+    res["t_norm_excess"] = max(0.0, float(np.abs(_eigenvalues_raw(tx, desc)).max() - 1.0))
 
     return res
 

@@ -27,7 +27,9 @@ mean eigenvalue, and the powers are shared by every idempotent.
 trace form, and `structure_constants` tabulates the Jordan product over it:
 C[c, a, b] = <basis_a, basis_c o basis_b>, so L_g = sum_c coords(g)_c C[c] is
 the matrix of x -> g o x on coordinates.  Both are computed once per
-descriptor and returned read-only.
+descriptor and returned read-only.  `_u_dense` builds every compression
+from them, the one `quadratic_map_U` applies included, as the (D, D) matrix
+U_g = 2 L_g^2 - L_g.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import LEVEL_DIM, LEVELS, cd_conj, multiplication_table
+from .scalars import LEVEL_DIM, LEVELS, cd_conj, cd_mul, multiplication_table
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
@@ -79,10 +81,6 @@ class AlgebraDescriptor:
     @property
     def d(self) -> int:
         return LEVEL_DIM[self.level]
-
-    @property
-    def table(self) -> np.ndarray:
-        return multiplication_table(self.d)
 
     @property
     def basis_dim(self) -> int:
@@ -174,12 +172,6 @@ def _scale_identity(desc, values):
     return out
 
 
-def _u_apply(e, x):
-    """Conditionalization map U_e x = 2 e o (e o x) - e o x."""
-    ex = _jp(e, x)
-    return 2.0 * _jp(e, ex) - ex
-
-
 def _to_complex(a):
     return a[..., 0] + 1j * a[..., 1]
 
@@ -197,7 +189,7 @@ def _quat_adjoint(a):
     return big
 
 
-def _freudenthal_det(x, table):
+def _freudenthal_det(x):
     """Determinant of a Hermitian 3x3 matrix over a composition algebra.
 
     N = a b c - a n(z) - b n(y) - c n(w) + 2 Re((w z) conj(y)) for diagonal
@@ -212,7 +204,7 @@ def _freudenthal_det(x, table):
     nw = (w**2).sum(-1)
     ny = (y**2).sum(-1)
     nz = (z**2).sum(-1)
-    wz = np.einsum("...i,...j,ijk->...k", w, z, table)
+    wz = cd_mul(w, z, multiplication_table(x.shape[-1]))
     cross = np.einsum("...k,...k->...", wz, y)  # Re((w z) conj(y))
     return a * b * c - a * nz - b * ny - c * nw + 2.0 * cross
 
@@ -264,7 +256,7 @@ def _eigenvalues_raw(x, desc: AlgebraDescriptor):
     t = _trace(x)
     x2 = _matmul(x, x)
     s = 0.5 * (t**2 - _trace(x2))
-    n = _freudenthal_det(x, desc.table)
+    n = _freudenthal_det(x)
     return _cubic_roots(t, s, n)
 
 
@@ -398,7 +390,8 @@ def quadratic_map_U(e: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     e._check(x)
     if not is_idempotent(e):
         raise NotIdempotentError("conditionalization requires an idempotent")
-    return AlgebraElement(e.descriptor, _u_apply(e.entries, x.entries))
+    desc = e.descriptor
+    return AlgebraElement(desc, _from_coords(_u_dense(desc, e.entries) @ coords(x, desc), desc))
 
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
@@ -549,9 +542,31 @@ def coords(x, desc: AlgebraDescriptor) -> np.ndarray:
     return np.einsum("bijc,...ijc->...b", hermitian_basis(desc), arr)
 
 
+def _from_coords(vec, desc: AlgebraDescriptor) -> np.ndarray:
+    """Raw elements (..., n, n, d) from coordinate vectors (..., D).
+
+    Every entry is one basis coordinate times +-1/sqrt(2) or 1, so the
+    result is exactly Hermitian.
+    """
+    return np.einsum("...b,bijc->...ijc", vec, hermitian_basis(desc))
+
+
 def from_coords(vec, desc: AlgebraDescriptor) -> AlgebraElement:
-    arr = np.einsum("b,bijc->ijc", np.asarray(vec, dtype=float), hermitian_basis(desc))
-    return AlgebraElement(desc, arr)
+    return AlgebraElement(desc, _from_coords(np.asarray(vec, dtype=float), desc))
+
+
+def _u_dense(desc: AlgebraDescriptor, g) -> np.ndarray:
+    """U_g as (..., D, D) column-action matrices over `hermitian_basis`.
+
+    g holds raw idempotents with any leading batch axes.  The multiplication
+    matrix L_g = sum_c coords(g)_c C[c] comes from the structure constants in
+    one product for the whole batch, and U_g = 2 L_g L_g - L_g is the map
+    x -> 2 g o (g o x) - g o x.  This is the one place a compression is built.
+    """
+    dim = desc.basis_dim
+    constants = structure_constants(desc).reshape(dim, dim * dim)
+    left = (coords(g, desc) @ constants).reshape(np.shape(g)[:-3] + (dim, dim))
+    return 2.0 * left @ left - left
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,12 @@ def test_cached_tables_match_direct_evaluation():
     verts = logic.state_vertices()
     values = logic.event_values()
     assert values == {e.key: tuple(logic.evaluate(v, e) for v in verts) for e in logic.events}
-    conditionals = logic.conditional_vertices()
+    cached = [logic.event_conditionals(e) for e in logic.events]
+    conditionals = {
+        (e.key, vi): cond
+        for e, (by_vertex, _) in zip(logic.events, cached)
+        for vi, cond in by_vertex.items()
+    }
     expected = {
         (e.key, vi): conditional_state_vertices(logic, v, e)
         for e in logic.events
@@ -199,7 +204,11 @@ def test_cached_tables_match_direct_evaluation():
     }
     assert conditionals == expected
     assert list(conditionals) == list(expected)  # event-then-vertex order
-    assert logic.event_values() is values and logic.conditional_vertices() is conditionals
+    unique = {key: cond[0] for key, cond in expected.items() if len(cond) == 1}
+    table = conditional_table(logic)
+    assert table == unique and list(table) == list(unique)
+    assert logic.event_values() is values
+    assert all(logic.event_conditionals(e) is c for e, c in zip(logic.events, cached))
 
 
 @pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)

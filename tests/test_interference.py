@@ -27,16 +27,30 @@ from ucplab.interference import (
     t_structure_battery,
 )
 from ucplab import interference
-from ucplab.interference import _corridor_draw, _u_dense
+from ucplab.interference import (
+    _corridor_draw,
+    _interference_dense,
+    _random_projections,
+    _symmetry_defects,
+)
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
+    DescriptorMismatchError,
+    NotIdempotentError,
+    _eigenvalues_raw,
+    _from_coords,
+    _hermitize,
     _identity,
     _inner,
-    _u_apply,
+    _jp,
+    _matmul,
+    _separated_spectral_batch,
+    _u_dense,
     coords,
     hermitian_basis,
     identity,
+    quadratic_map_U,
     random_element,
     random_projection,
     spectral_decompose,
@@ -46,12 +60,44 @@ from ucplab.model import State, orthogonal
 MODELS = [("R", 2), ("R", 3), ("C", 2), ("C", 3), ("C", 4), ("H", 2), ("H", 3), ("O", 3)]
 
 
+def u_apply(e, x):
+    """Oracle for the compression: U_e x = 2 e o (e o x) - e o x as two
+    Jordan products on raw (batched) elements."""
+    ex = _jp(e, x)
+    return 2.0 * _jp(e, ex) - ex
+
+
 def basis_image_u_dense(desc, g):
-    """Oracle for `_u_dense`: U_g applied by `_u_apply` to every element of
+    """Oracle for `_u_dense`: U_g applied by `u_apply` to every element of
     `hermitian_basis`, with column b holding the coordinates of U_g basis_b."""
     basis = hermitian_basis(desc)
-    images = _u_apply(np.asarray(g)[..., None, :, :, :], basis)
+    images = u_apply(np.asarray(g)[..., None, :, :, :], basis)
     return np.einsum("aijc,...bijc->...ab", basis, images)
+
+
+def element_symmetry_defects(e, f, desc):
+    """Oracle for `_symmetry_defects`: the same defects as elements, with
+    every compression applied by `u_apply`."""
+    one = _identity(desc)
+    lhs = u_apply(e, one - f) + u_apply(one - e, f)
+    rhs = u_apply(f, one - e) + u_apply(one - f, e)
+    ue_f, uec_f = u_apply(e, f), u_apply(one - e, f)
+    uf_e, ufc_e = u_apply(f, e), u_apply(one - f, e)
+    t_e_f = 0.5 * (f + ue_f - uec_f)
+    t_f_e = 0.5 * (e + uf_e - ufc_e)
+    i2_difference = (f - ue_f - uec_f) - (e - uf_e - ufc_e)
+    defects = {
+        "compression_symmetry": [lhs - rhs, t_e_f - t_f_e],
+        "second_order_difference": [i2_difference - (2.0 * uf_e - 2.0 * ue_f)],
+    }
+    if desc.level != "O":
+        anticomm = e + f - _matmul(e, f) - _matmul(f, e)
+        defects["anticommutator_form"] = [lhs - anticomm, rhs - anticomm]
+    return defects
+
+
+def element_onorm(x, desc):
+    return float(np.abs(_eigenvalues_raw(_hermitize(x), desc)).max())
 
 
 def test_u_operator_requires_idempotent():
@@ -122,10 +168,10 @@ def test_dense_builder_matches_vector_oracle(level, n):
     assert dense.shape == (4, desc.basis_dim, desc.basis_dim)
     # the batched matrices act on coordinates as U_g acts on elements
     image = (dense @ coords(x, desc)[..., None])[..., 0]
-    assert np.abs(image - coords(_u_apply(g, x), desc)).max() <= 1e-12
+    assert np.abs(image - coords(u_apply(g, x), desc)).max() <= 1e-12
     # a product U_e @ U_f applies U_f first, then U_e
     e, f = g[0], g[1]
-    composed = coords(_u_apply(e, _u_apply(f, x[0])), desc)
+    composed = coords(u_apply(e, u_apply(f, x[0])), desc)
     assert np.abs(dense[0] @ dense[1] @ coords(x[0], desc) - composed).max() <= 1e-12
     # I2_operator and I3_operator agree with the sums of vector compressions
     es = list(spectral_decompose(random_element(desc, rng_seed=40)).idempotents)
@@ -135,12 +181,37 @@ def test_dense_builder_matches_vector_oracle(level, n):
     y = random_element(desc, rng_seed=41)
 
     ua, ub, uc, uab, ubc, uac, uabc = (
-        _u_apply(p, y.entries) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
+        u_apply(p, y.entries) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
     )
     two = uab - ua - ub
     seven = uabc - uab - ubc - uac + ua + ub + uc
     assert np.abs(I2_operator(es[0], es[1])(y).entries - two).max() <= 1e-12
     assert np.abs(I3_operator(*es[:3])(y).entries - seven).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_quadratic_map_matches_element_oracle(level, n):
+    desc = AlgebraDescriptor(level, n)
+    for k in range(8):
+        e = random_projection(desc, rank=k % (n + 1), rng_seed=60 + k)
+        x = random_element(desc, rng_seed=70 + k)
+        got = quadratic_map_U(e, x).entries
+        assert np.abs(got - u_apply(e.entries, x.entries)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_interference_dense_matches_written_out_sums(level, n):
+    # independent projections, so neither sum cancels to zero
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(80)
+    a, b, c = (
+        _random_projections(rng, _separated_spectral_batch(desc, rng, 4)[1])[0] for _ in range(3)
+    )
+    u = lambda g: _u_dense(desc, g)  # noqa: E731
+    two = u(a + b) - u(a) - u(b)
+    seven = u(a + b + c) - u(a + b) - u(b + c) - u(a + c) + u(a) + u(b) + u(c)
+    assert np.abs(_interference_dense(desc, a, b) - two).max() <= 1e-12
+    assert np.abs(_interference_dense(desc, a, b, c) - seven).max() <= 1e-12
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -188,7 +259,7 @@ def test_corridor_p_matches_two_compression_oracle(level, n):
     # p = mu(U_e f) + mu(U_e' f) with each compression applied on its own
     desc = AlgebraDescriptor(level, n)
     rho, e, f = _corridor_draw(desc, np.random.default_rng(15), 200, classical=False)
-    p = _inner(rho, _u_apply(e, f)) + _inner(rho, _u_apply(_identity(desc) - e, f))
+    p = _inner(rho, u_apply(e, f)) + _inner(rho, u_apply(_identity(desc) - e, f))
     points = corridor_samples(desc, 200, seed=15)
     assert np.abs(np.array([pt.p for pt in points]) - p).max() <= 1e-13
     assert [pt.q for pt in points] == _inner(rho, f).tolist()
@@ -216,9 +287,30 @@ def test_corridor_chunks_draw_in_sequence(monkeypatch, classical):
 def test_saturating_configuration_hits_upper_bound(level, n):
     mu, e, f = saturating_configuration(AlgebraDescriptor(level, n))
     point = corridor_sample(mu, e, f)
-    assert point.p == pytest.approx(0.5, abs=1e-12)
-    assert point.q == pytest.approx(1.0, abs=1e-12)
-    assert abs(point.q - 2 * point.p) <= 1e-12
+    assert (point.p, point.q) == (0.5, 1.0)
+    assert point.lower_ok and point.upper_ok
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_corridor_sample_is_the_batched_evaluator(level, n):
+    desc = AlgebraDescriptor(level, n)
+    rho, e, f = _corridor_draw(desc, np.random.default_rng(19), 1, classical=False)
+    mu = State(AlgebraElement(desc, rho[0]))
+    point = corridor_sample(mu, AlgebraElement(desc, e[0]), AlgebraElement(desc, f[0]))
+    assert point == corridor_samples(desc, 1, seed=19)[0]  # p bit for bit
+
+
+def test_corridor_sample_rejects_bad_input():
+    desc = AlgebraDescriptor("C", 3)
+    mu = State.random(desc, rng_seed=1)
+    e = random_projection(desc, rank=1, rng_seed=2)
+    with pytest.raises(NotIdempotentError):
+        corridor_sample(mu, random_element(desc, rng_seed=3), e)
+    other = AlgebraDescriptor("C", 2)
+    with pytest.raises(DescriptorMismatchError):
+        corridor_sample(mu, e, random_projection(other, rank=1, rng_seed=4))
+    with pytest.raises(DescriptorMismatchError):
+        corridor_sample(State.random(other, rng_seed=5), e, e)
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -236,6 +328,38 @@ def test_a1_and_eq10_single_pair():
     f = random_projection(desc, rank=2, rng_seed=16)
     assert a1_check(e, f) <= 1e-9
     assert eq10_check(e, f) <= 1e-9
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_symmetry_defects_match_element_oracle(level, n):
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(21)
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50)[1])
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50)[1])
+    got = _symmetry_defects(e, f, desc)
+    expected = element_symmetry_defects(e, f, desc)
+    assert list(got) == list(expected)
+    for key, arrays in expected.items():
+        assert len(got[key]) == len(arrays)
+        for column, array in zip(got[key], arrays):
+            assert np.abs(_from_coords(column[..., 0], desc) - array).max() <= 1e-13, key
+    # the battery draws the same pairs from the same seed
+    battery = symmetry_battery(desc, 50, seed=21)
+    assert list(battery) == list(expected)
+    for key, arrays in expected.items():
+        assert abs(battery[key] - max(np.abs(a).max() for a in arrays)) <= 1e-13, key
+    for k in range(3):
+        a = AlgebraElement(desc, e[k])
+        b = AlgebraElement(desc, f[k])
+        single = element_symmetry_defects(e[k], f[k], desc)
+        a1 = max(
+            element_onorm(d, desc)
+            for key in ("compression_symmetry", "anticommutator_form")
+            for d in single.get(key, ())
+        )
+        assert abs(a1_check(a, b) - a1) <= 1e-13
+        (eq10,) = single["second_order_difference"]
+        assert abs(eq10_check(a, b) - element_onorm(eq10, desc)) <= 1e-13
 
 
 @pytest.mark.parametrize("level,n", [("C", 3), ("O", 3)])

@@ -124,7 +124,7 @@ def test_matmul_matches_einsum_oracle(algebra, shapes, swap, scale, seed):
     a = scale * rng.standard_normal(shape_a + (desc.n, desc.n, desc.d))
     b = scale * rng.standard_normal(shape_b + (desc.n, desc.n, desc.d))
     got = _matmul(a, b)
-    expected = einsum_matmul(a, b, desc.table)
+    expected = einsum_matmul(a, b, multiplication_table(desc.d))
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
 
