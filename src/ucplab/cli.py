@@ -164,10 +164,6 @@ def cmd_i3(parser, args):
 
 
 def cmd_search(parser, args):
-    if args.max_atoms < 0:
-        parser.error("--max-atoms must be non-negative")
-    if args.blocks < 1:
-        parser.error("--blocks must be positive")
     try:
         config = SearchConfig(
             max_atoms=args.max_atoms,
@@ -208,7 +204,7 @@ def build_parser():
     p_corr = sub.add_parser("corridor", help="sample the probability corridor")
     _add_model_flags(p_corr, default_trials=1000)
     p_corr.add_argument("--classical", action="store_true")
-    p_corr.add_argument("--format", choices=("json", "csv"), default=None)
+    p_corr.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p_i3 = sub.add_parser("i3", help="sweep the third-order map on random triples")
     _add_model_flags(p_i3, default_trials=1000)

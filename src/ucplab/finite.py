@@ -18,6 +18,7 @@ Text format, one block per line::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -144,12 +145,26 @@ class SumUndefinedError(ValueError):
     pass
 
 
+def _cached(method):
+    """A `FiniteLogic` method whose result is computed on the first call and
+    then kept in self._cache under (method name, arguments)."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        slot = (method.__name__, args)
+        if slot not in self._cache:
+            self._cache[slot] = method(self, *args)
+        return self._cache[slot]
+
+    return cached
+
+
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
     Every exact quantity (event keys, complements, orthogonality, sums,
-    state vertices, the event-value and conditional tables) is computed on
-    first use and cached on the logic.
+    state vertices, the event-value and conditional tables) comes from a
+    `_cached` method: it is computed on first use and kept on the logic.
     """
 
     def __init__(self, blocks, n_atoms=None):
@@ -170,17 +185,8 @@ class FiniteLogic:
 
     # -- construction helpers ------------------------------------------------
 
-    def _once(self, compute, *args):
-        """compute(*args), computed on the first call and then cached."""
-        slot = (compute.__name__, args)
-        if slot not in self._cache:
-            self._cache[slot] = compute(*args)
-        return self._cache[slot]
-
+    @_cached
     def _functional(self, atom_set):
-        return self._once(self._reduce, atom_set)
-
-    def _reduce(self, atom_set):
         vec = [ZERO] * (self.n + 1)
         for a in atom_set:
             vec[a] = ONE
@@ -215,23 +221,13 @@ class FiniteLogic:
             raise KeyError(f"{sorted(atoms)} is not an event of this logic")
         return ev
 
+    @_cached
     def complement(self, e: FiniteEvent) -> FiniteEvent:
-        return self._once(self._complement, e)
-
-    def _complement(self, e):
-        key = tuple(
-            reduce_mod(
-                [ONE - e.key[0]] + [-c for c in e.key[1:]], self._basis, self._pivots
-            )
-        )
+        key = reduce_mod([ONE - e.key[0]] + [-c for c in e.key[1:]], self._basis, self._pivots)
         ev = self._events.get(key)
         if ev is None:
             raise KeyError("complement is not an event (broken logic)")
         return ev
-
-    def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
-        """Orthogonal iff disjoint representatives fit in one block."""
-        return self._once(self._orthogonal, e, f)
 
     def _joins(self, e, f):
         """Unions of disjoint representatives of e and f that fit in one block."""
@@ -241,14 +237,14 @@ class FiniteLogic:
                 if not s & t and any(u.issubset(b) for b in self.blocks):
                     yield u
 
-    def _orthogonal(self, e, f):
+    @_cached
+    def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
+        """Orthogonal iff disjoint representatives fit in one block."""
         return next(self._joins(e, f), None) is not None
 
+    @_cached
     def sum(self, e: FiniteEvent, f: FiniteEvent) -> FiniteEvent:
         """e + f for orthogonal events; must be independent of representatives."""
-        return self._once(self._sum, e, f)
-
-    def _sum(self, e, f):
         keys = {self._functional(u) for u in self._joins(e, f)}
         if not keys:
             raise SumUndefinedError("events are not orthogonal")
@@ -272,24 +268,21 @@ class FiniteLogic:
             rhs.append(ONE)
         return rows, rhs
 
+    @_cached
     def state_vertices(self):
-        """Vertices of the state polytope (cached)."""
-        return self._once(self._state_vertices)
-
-    def _state_vertices(self):
+        """Vertices of the state polytope."""
         rows, rhs = self.block_rows()
         return polytope_vertices(rows, [rhs], self.n)[0]
 
+    @_cached
     def event_values(self):
-        """{event key: (mu_v(e) for each vertex state v)} (cached)."""
-        return self._once(self._event_values)
-
-    def _event_values(self):
+        """{event key: (mu_v(e) for each vertex state v)}."""
         verts = self.state_vertices()
         return {e.key: tuple(self.evaluate(v, e) for v in verts) for e in self.events}
 
+    @_cached
     def event_conditionals(self, e: FiniteEvent):
-        """Conditional states under e of the vertex states and their barycentre (cached).
+        """Conditional states under e of the vertex states and their barycentre.
 
         Returns ({vertex index v: conditional-state vertices of v}, the
         conditional-state vertices of the barycentre of all state vertices),
@@ -299,9 +292,6 @@ class FiniteLogic:
         `polytope_vertices` call.  An event that is zero at every vertex
         makes no call and returns ({}, None).
         """
-        return self._once(self._event_conditionals, e)
-
-    def _event_conditionals(self, e):
         verts = self.state_vertices()
         positive = [vi for vi, p in enumerate(self.event_values()[e.key]) if p > 0]
         if not positive:

@@ -14,8 +14,9 @@ builds from the model's tabulated `jordan.structure_constants`; it acts on
 coordinate columns over `jordan.hermitian_basis`.  `LinearOperator` holds
 one such matrix, and every battery states its identities as sums and `@`
 products of them, applied to coordinate columns where an identity acts on
-events.  `_interference_dense` is the one alternating sum behind I2 and I3.
-It builds each compression on its own, so the vanishing of I3 is a
+events.  `_alternating_subsets` is the one sign rule of I2 and I3:
+`_interference_dense` sums compressions over it and `finite_I3_scan` exact
+rows.  Each compression is built on its own, so the vanishing of I3 is a
 numerical fact and not an algebraic cancellation.
 
 The corridor needs no matrix.  With e' = 1 - e, linearity alone sums the two
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -41,12 +43,12 @@ from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     NotIdempotentError,
-    _eigenvalues_raw,
     _from_coords,
     _identity,
     _inner,
     _jp,
     _matmul,
+    _norm,
     _random_elements,
     _rng,
     _separated_spectral_batch,
@@ -105,16 +107,21 @@ def _t_dense(u, u_comp) -> np.ndarray:
     return 0.5 * (np.eye(u.shape[-1]) + u - u_comp)
 
 
-def _interference_dense(desc: AlgebraDescriptor, *parts) -> np.ndarray:
-    """The alternating sum of (-1)^(k - |S|) U_{sum of S} over the nonempty
-    subsets S of the k parts: I2 for two parts and I3 for three.  Each
-    compression is built on its own."""
+def _alternating_subsets(parts):
+    """(sign, subset) for every nonempty subset S of the k parts, largest
+    first, with sign (-1)^(k - |S|): the terms of the k-th order
+    interference I_k (Sorkin 1994), dense or exact."""
     k = len(parts)
-    total = 0.0
     for size in range(k, 0, -1):
         for subset in combinations(parts, size):
-            total = total + (-1.0) ** (k - size) * _u_dense(desc, sum(subset))
-    return total
+            yield (-1) ** (k - size), subset
+
+
+def _interference_dense(desc: AlgebraDescriptor, *parts) -> np.ndarray:
+    """I_k as a dense map: sign * U_{sum of S} summed over
+    `_alternating_subsets(parts)`, I2 for two parts and I3 for three.  Each
+    compression is built on its own."""
+    return sum(sign * _u_dense(desc, sum(subset)) for sign, subset in _alternating_subsets(parts))
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     worst = 0.0
     for start in range(0, trials, 200):
         count = min(200, trials - start)
-        _, idem = _separated_spectral_batch(desc, rng, count)
+        idem = _separated_spectral_batch(desc, rng, count)
         parts = _random_projections(rng, idem, parts=3)
         worst = max(worst, _worst(_interference_dense(desc, *parts)))
     return worst
@@ -256,8 +263,8 @@ def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
         e[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         f[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         return rho, e, f
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count)[1])
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count)[1])
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count))
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count))
     x = _random_elements(desc, rng, count)
     sq = _matmul(x, x)
     return sq / _trace(sq)[:, None, None, None], e, f
@@ -305,7 +312,7 @@ def saturating_configuration(desc: AlgebraDescriptor):
 
 def _onorm(column, desc):
     """Order-unit norm of the element with coordinate column (D, 1)."""
-    return float(np.abs(_eigenvalues_raw(_from_coords(column[..., 0], desc), desc)).max())
+    return float(_norm(_from_coords(column[..., 0], desc), desc))
 
 
 def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
@@ -370,8 +377,8 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     `anticommutator_form` (both sides equal e + f - ef - fe).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
     defects = _symmetry_defects(e, f, desc)
     return {key: max(_worst(d) for d in arrays) for key, arrays in defects.items()}
 
@@ -379,6 +386,14 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 # basis-wide batteries
 # ---------------------------------------------------------------------------
+
+
+def _t_norm_excess(desc: AlgebraDescriptor, t_e, x) -> float:
+    """Largest excess above 1 of the norm of T_e x, over raw elements x
+    whose coordinates are scaled to the unit ball."""
+    unit = coords(x, desc)[..., None] / _norm(x, desc)[:, None, None]
+    tx = _from_coords((t_e @ unit)[..., 0], desc)
+    return max(0.0, float(_norm(tx, desc).max() - 1.0))
 
 
 def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
@@ -390,7 +405,7 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     above 1) and `witness_gap` (T_e e = e, so the norm 1 is attained).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials)[1])
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
     u_e, u_ec = _u_dense(desc, e), _u_dense(desc, _identity(desc) - e)
     t_e = _t_dense(u_e, u_ec)
 
@@ -399,16 +414,13 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     spectrum = float(np.abs(eigs[..., None] - targets).min(axis=-1).max())
 
     x = _random_elements(desc, rng, trials)
-    x = x / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None, None]
-    tx = _from_coords((t_e @ coords(x, desc)[..., None])[..., 0], desc)
-    tx_norm = np.abs(_eigenvalues_raw(tx, desc)).max()
     ce = coords(e, desc)[..., None]
 
     return {
         "spectrum": spectrum,
         "quadratic_relation": _worst(2.0 * t_e @ t_e - t_e - u_e),
         "partition": _worst(t_e + _t_dense(u_ec, u_e) - np.eye(desc.basis_dim)),
-        "norm_excess": max(0.0, float(tx_norm) - 1.0),
+        "norm_excess": _t_norm_excess(desc, t_e, x),
         "witness_gap": _worst(t_e @ ce - ce),
     }
 
@@ -429,7 +441,7 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     """
     rng = _rng(seed)
     one = _identity(desc)
-    _, idem = _separated_spectral_batch(desc, rng, trials)
+    idem = _separated_spectral_batch(desc, rng, trials)
     e, f = _random_projections(rng, idem, parts=2)
     x = _random_elements(desc, rng, trials)
     g1, g2, g3 = _random_projections(rng, idem, parts=3)
@@ -476,9 +488,7 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 
     # (g) operator norm of T_e: witness plus sampled unit ball
     res["t_fixes_e"] = _worst(t_e @ ce - ce)
-    unit = cx / np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)[:, None, None]
-    tx = _from_coords((t_e @ unit)[..., 0], desc)
-    res["t_norm_excess"] = max(0.0, float(np.abs(_eigenvalues_raw(tx, desc)).max() - 1.0))
+    res["t_norm_excess"] = _t_norm_excess(desc, t_e, x)
 
     return res
 
@@ -486,6 +496,22 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 # finite-logic interference scan
 # ---------------------------------------------------------------------------
+
+
+def _orthogonal_tuples(logic: FiniteLogic, k, chosen=(), start=0):
+    """Depth-first walk over the k-tuples of mutually orthogonal events, in
+    event order with repeats, each with its signed group list.  Not a closure
+    in `finite_I3_scan`: recursion would make it a cycle that keeps the logic."""
+    if len(chosen) == k:
+        yield chosen, [(sign, reduce(logic.sum, s)) for sign, s in _alternating_subsets(chosen)]
+        return
+    # without OS3 an event orthogonal to each chosen one can still fail to
+    # be orthogonal to their sum, which `logic.sum` needs
+    joint = [reduce(logic.sum, chosen)] if len(chosen) > 1 else []
+    events = logic.events
+    for j in range(start, len(events)):
+        if all(logic.orthogonal(g, events[j]) for g in (*chosen, *joint)):
+            yield from _orthogonal_tuples(logic, k, chosen + (events[j],), j)
 
 
 def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
@@ -499,12 +525,13 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     mu_v(g) nu_{g,v}(f), times the common denominator L (the lcm of the
     denominators of all rows), so every entry is an integer.  The row is all
     zeros where mu_v(g) = 0 and None where the conditional is missing from
-    `conditionals`.  A pair or triple at a vertex is then the signed sum of
-    3 or 7 integer rows; only the reported maxima and witness values are
-    divided by L again.  The first configuration with the largest |value|
-    wins.  Configurations whose conditionals do not exist uniquely are
-    counted in `skipped` (len(events) per tuple and vertex) instead of being
-    assigned a value.
+    `conditionals`.  One depth-first walk yields the orthogonal k-tuples,
+    k = 2 and 3, and `_alternating_subsets` their signed groups g, so a
+    tuple at a vertex is the signed sum of 2^k - 1 integer rows; only the
+    reported maxima and witness values are divided by L again.  The first
+    configuration with the largest |value| wins.  Configurations whose
+    conditionals do not exist uniquely are counted in `skipped`
+    (len(events) per tuple and vertex) instead of being assigned a value.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
@@ -557,36 +584,11 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
                     }
         return Fraction(best, scale), witness, skipped
 
-    pair_tuples = []
-    for i, e1 in enumerate(events):
-        for e2 in events[i:]:
-            if not logic.orthogonal(e1, e2):
-                continue
-            s12 = logic.sum(e1, e2)
-            pair_tuples.append(((e1, e2), [(1, s12), (-1, e1), (-1, e2)]))
-    max_i2, wit_i2, skip2 = scan_tuples(pair_tuples)
-
-    triple_tuples = []
-    for i, e1 in enumerate(events):
-        for j, e2 in enumerate(events[i:], start=i):
-            if not logic.orthogonal(e1, e2):
-                continue
-            s12 = logic.sum(e1, e2)
-            for e3 in events[j:]:
-                if not (logic.orthogonal(e1, e3) and logic.orthogonal(e2, e3)):
-                    continue
-                if not logic.orthogonal(s12, e3):
-                    continue
-                s13 = logic.sum(e1, e3)
-                s23 = logic.sum(e2, e3)
-                s123 = logic.sum(s12, e3)
-                triple_tuples.append(
-                    (
-                        (e1, e2, e3),
-                        [(1, s123), (-1, s12), (-1, s13), (-1, s23), (1, e1), (1, e2), (1, e3)],
-                    )
-                )
-    max_i3, wit_i3, skip3 = scan_tuples(triple_tuples)
+    scans = []
+    for k in (2, 3):
+        tuples = list(_orthogonal_tuples(logic, k))
+        scans.append((*scan_tuples(tuples), len(tuples)))
+    (max_i2, wit_i2, skip2, pairs), (max_i3, wit_i3, skip3, triples) = scans
 
     return {
         "max_abs_i2": max_i2,
@@ -595,7 +597,7 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
         "i3_witness": wit_i3,
         "skipped_i2": skip2,
         "skipped_i3": skip3,
-        "pairs": len(pair_tuples),
-        "triples": len(triple_tuples),
+        "pairs": pairs,
+        "triples": triples,
         "vertex_states": len(verts),
     }

@@ -49,6 +49,8 @@ CLUSTER_TOL = 1e-8
 STATE_TOL = 1e-6
 # Idempotency residual |e∘e - e|, relative to the largest entry of e.
 IDEMPOTENT_TOL = 1e-6
+# `property_battery` checks power-associativity up to this degree.
+MAX_POWER = 8
 
 
 class DescriptorMismatchError(ValueError):
@@ -260,6 +262,11 @@ def _eigenvalues_raw(x, desc: AlgebraDescriptor):
     return _cubic_roots(t, s, n)
 
 
+def _norm(x, desc: AlgebraDescriptor):
+    """Order-unit norms (...,) of Hermitian coordinate arrays: the spectral radius."""
+    return np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
+
+
 def _lagrange_idempotents(x, eigvals, desc):
     """Idempotent stack (..., m, n, n, d) for m per-sample distinct eigenvalues.
 
@@ -448,14 +455,14 @@ def random_element(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
     return AlgebraElement(desc, _random_elements(desc, _rng(rng_seed)))
 
 
-def _separated_spectral_batch(desc, rng, count, max_retries=64):
-    """Random elements with well-separated spectra plus their idempotents.
+def _separated_spectral_batch(desc, rng, count):
+    """The idempotents (count, n, n, n, d) of random elements with
+    well-separated spectra.
 
-    Returns (eigvals (count, n), idempotents (count, n, n, n, d)).
     Near-degenerate draws are resampled; they have probability ~0.
     """
     x = _random_elements(desc, rng, count)
-    for _ in range(max_retries):
+    for _ in range(64):
         vals = _eigenvalues_raw(x, desc)
         scale = 1.0 + np.abs(vals).max(axis=-1)
         gaps = np.diff(vals, axis=-1).min(axis=-1) if desc.n > 1 else np.ones(count)
@@ -465,8 +472,7 @@ def _separated_spectral_batch(desc, rng, count, max_retries=64):
         x[bad] = _random_elements(desc, rng, int(bad.sum()))
     else:
         raise RuntimeError("could not draw a non-degenerate spectrum")
-    idem = _lagrange_idempotents(x, vals, desc)
-    return vals, _hermitize(idem)
+    return _hermitize(_lagrange_idempotents(x, vals, desc))
 
 
 def random_projection(desc: AlgebraDescriptor, rank: int, rng_seed=0) -> AlgebraElement:
@@ -476,7 +482,7 @@ def random_projection(desc: AlgebraDescriptor, rank: int, rng_seed=0) -> Algebra
     if rank == 0:
         return zero(desc)
     rng = _rng(rng_seed)
-    _, idem = _separated_spectral_batch(desc, rng, 1)
+    idem = _separated_spectral_batch(desc, rng, 1)
     pick = rng.permutation(desc.n)[:rank]
     return AlgebraElement(desc, idem[0][pick].sum(axis=0))
 
@@ -574,10 +580,10 @@ def _u_dense(desc: AlgebraDescriptor, g) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def property_battery(desc: AlgebraDescriptor, trials: int, seed=0, max_power=8) -> dict:
+def property_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     """Relative residuals of the core algebraic laws over random draws.
 
-    Checks power-associativity x^a o x^b = x^(a+b) up to degree max_power,
+    Checks power-associativity x^a o x^b = x^(a+b) up to degree MAX_POWER,
     the Jordan identity (x^2 o y) o x = x^2 o (y o x), positivity of
     squares, the square norm law |x^2| = |x|^2, and submultiplicativity of
     the order-unit norm.  Returns a dict of named worst-case residuals.
@@ -585,18 +591,17 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0, max_power=8) 
     rng = _rng(seed)
     x = _random_elements(desc, rng, trials)
     y = _random_elements(desc, rng, trials)
-    norms_x = np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
-    x = x / norms_x[:, None, None, None]  # unit ball: powers stay bounded
-    y = y / np.abs(_eigenvalues_raw(y, desc)).max(axis=-1)[:, None, None, None]
+    x = x / _norm(x, desc)[:, None, None, None]  # unit ball: powers stay bounded
+    y = y / _norm(y, desc)[:, None, None, None]
 
     powers = [None, x]
-    for k in range(2, max_power + 1):
+    for k in range(2, MAX_POWER + 1):
         powers.append(_matmul(x, x) if k == 2 else _jp(powers[-1], x))
 
     res = {}
     worst = 0.0
-    for a in range(1, max_power):
-        for b in range(a, max_power + 1 - a):
+    for a in range(1, MAX_POWER):
+        for b in range(a, MAX_POWER + 1 - a):
             worst = max(worst, float(np.abs(_jp(powers[a], powers[b]) - powers[a + b]).max()))
     res["power_associativity"] = worst
 
@@ -608,13 +613,10 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0, max_power=8) 
     sq_eigs = _eigenvalues_raw(_matmul(y, y), desc)
     res["squares_positive"] = max(0.0, -float(sq_eigs.min()))
 
-    sq_norm = np.abs(_eigenvalues_raw(sq, desc)).max(axis=-1)
-    x_norm = np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
-    res["square_norm_law"] = float(np.abs(sq_norm - x_norm**2).max())
+    x_norm = _norm(x, desc)
+    res["square_norm_law"] = float(np.abs(_norm(sq, desc) - x_norm**2).max())
 
-    xy = _jp(x, y)
-    xy_norm = np.abs(_eigenvalues_raw(_hermitize(xy), desc)).max(axis=-1)
-    y_norm = np.abs(_eigenvalues_raw(y, desc)).max(axis=-1)
-    res["norm_submultiplicative"] = max(0.0, float((xy_norm - x_norm * y_norm).max()))
+    xy_norm = _norm(_hermitize(_jp(x, y)), desc)
+    res["norm_submultiplicative"] = max(0.0, float((xy_norm - x_norm * _norm(y, desc)).max()))
 
     return res

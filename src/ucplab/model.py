@@ -66,34 +66,34 @@ def evaluate(mu: State, x: AlgebraElement) -> float:
     return inner(mu.density, x)
 
 
-def _orthogonal(a, b, tol=ORTHOGONALITY_TOL) -> bool:
+def _orthogonal(a, b) -> bool:
     """e o f = 0 on raw arrays, relative to the size of the entries."""
     scale = 1.0 + np.abs(a).max() + np.abs(b).max()
-    return bool(np.abs(jordan._jp(a, b)).max() <= tol * scale)
+    return bool(np.abs(jordan._jp(a, b)).max() <= ORTHOGONALITY_TOL * scale)
 
 
-def orthogonal(e: AlgebraElement, f: AlgebraElement, tol=ORTHOGONALITY_TOL) -> bool:
+def orthogonal(e: AlgebraElement, f: AlgebraElement) -> bool:
     """Events are orthogonal iff e + f is again an event, i.e. e o f = 0."""
     e._check(f)
-    return _orthogonal(e.entries, f.entries, tol)
+    return _orthogonal(e.entries, f.entries)
 
 
 def complement(e: AlgebraElement) -> AlgebraElement:
     return jordan.identity(e.descriptor) - e
 
 
-def conditional_probability(mu: State, e: AlgebraElement, f: AlgebraElement, tol=DEFAULT_TOL) -> float:
-    """mu(f | e) = mu(U_e f) / mu(e)."""
+def conditional_probability(mu: State, e: AlgebraElement, f: AlgebraElement) -> float:
+    """mu(f | e) = mu(U_e f) / mu(e); mu(e) must exceed DEFAULT_TOL."""
     pe = evaluate(mu, e)
-    if pe <= tol:
+    if pe <= DEFAULT_TOL:
         raise ConditioningOnNullError(f"mu(e) = {pe} is not positive")
     return evaluate(mu, quadratic_map_U(e, f)) / pe
 
 
-def conditional_state(mu: State, e: AlgebraElement, tol=DEFAULT_TOL) -> State:
-    """Density of the conditioned state: U_e rho / mu(e)."""
+def conditional_state(mu: State, e: AlgebraElement) -> State:
+    """Density of the conditioned state: U_e rho / mu(e); mu(e) must exceed DEFAULT_TOL."""
     pe = evaluate(mu, e)
-    if pe <= tol:
+    if pe <= DEFAULT_TOL:
         raise ConditioningOnNullError(f"mu(e) = {pe} is not positive")
     if not is_idempotent(e):
         raise NotIdempotentError("conditioning requires an idempotent event")

@@ -61,6 +61,10 @@ def test_verify_fails_on_impossible_tolerance(capsys):
         ("verify", "--format", "csv"),
         ("classify",),
         ("classify", "--logic", "no-such-logic.txt"),
+        ("search", "--max-atoms", "-1"),
+        ("search", "--max-atoms", "3", "--blocks", "0"),
+        ("search", "--max-atoms", "3", "--block-size-min", "1"),
+        ("search", "--max-atoms", "4", "--block-size-min", "3", "--block-size-max", "2"),
     ],
 )
 def test_usage_errors_exit_two(argv):

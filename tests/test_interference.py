@@ -1,5 +1,7 @@
 """Interference operators, corridor bounds and the identity batteries."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -205,7 +207,7 @@ def test_interference_dense_matches_written_out_sums(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(80)
     a, b, c = (
-        _random_projections(rng, _separated_spectral_batch(desc, rng, 4)[1])[0] for _ in range(3)
+        _random_projections(rng, _separated_spectral_batch(desc, rng, 4))[0] for _ in range(3)
     )
     u = lambda g: _u_dense(desc, g)  # noqa: E731
     two = u(a + b) - u(a) - u(b)
@@ -334,8 +336,8 @@ def test_a1_and_eq10_single_pair():
 def test_symmetry_defects_match_element_oracle(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(21)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50)[1])
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50)[1])
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50))
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50))
     got = _symmetry_defects(e, f, desc)
     expected = element_symmetry_defects(e, f, desc)
     assert list(got) == list(expected)
@@ -385,6 +387,20 @@ def test_finite_scan_boolean_exact_zero():
     assert report["max_abs_i3"] == Fraction(0)
     assert report["skipped_i2"] == 0 and report["skipped_i3"] == 0
     assert (report["pairs"], report["triples"]) == (14, 15)
+
+
+def test_finite_scan_frees_the_logic_without_the_cycle_collector():
+    # a reference cycle from the scan would keep the logic and its exact
+    # tables alive until the next collection, across a whole search
+    logic = FiniteLogic([(1, 2, 3), (3, 4, 5)])
+    gc.disable()
+    try:
+        finite_I3_scan(logic)
+        ref = weakref.ref(logic)
+        del logic
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_finite_scan_pasted_regression():

@@ -333,7 +333,7 @@ def spectral_draws(desc, kind, count=100, seed=31):
     """
     rng = np.random.default_rng(seed)
     if kind == "small_gap":
-        _, idem = _separated_spectral_batch(desc, rng, count)
+        idem = _separated_spectral_batch(desc, rng, count)
         lam = np.linspace(-1.0, 1.0, desc.n)
         lam[1] = lam[0] + 1.01e-4 * (1.0 + np.abs(lam).max())
         x = np.einsum("i,bijkc->bjkc", lam, idem)

@@ -53,8 +53,9 @@ def test_state_rejects_non_hermitian_density():
 
 @pytest.mark.parametrize("level,n", MODELS)
 def test_constructed_states_are_accepted(level, n):
-    # rank-one O3 conditionals have cubic eigenvalues down to about -1.5e-8,
-    # which the state tolerance must accept
+    # constructed states can have eigenvalues a few rounding errors below
+    # zero (down to about -7e-16 for rank-one O3 conditionals), which the
+    # state tolerance must accept
     desc = AlgebraDescriptor(level, n)
     saturating_configuration(desc)
     for k in range(20):
@@ -65,12 +66,16 @@ def test_constructed_states_are_accepted(level, n):
 
 
 def test_is_positive_default_accepts_rank_one_o3_conditionals():
-    # cubic eigenvalues of these valid states reach about -1.5e-8
+    # cubic eigenvalues of these valid states reach about -7e-16
     desc = AlgebraDescriptor("O", 3)
     for k in range(100):
         nu = conditional_state(State.random(desc, rng_seed=k), random_projection(desc, 1, 1000 + k))
         assert is_positive(nu.density)
     assert not is_positive(diag_element("O", 3, [1.0, 1e-3, -1e-3]))
+    # the default margin is STATE_TOL (1 + max|entry|) = 2e-6 here, read off
+    # the O-level characteristic cubic
+    assert is_positive(diag_element("O", 3, [1.0, 0.0, -1.5e-6]))
+    assert not is_positive(diag_element("O", 3, [1.0, 0.0, -3e-6]))
 
 
 def test_evaluate_diagonal_oracle():
