@@ -9,6 +9,19 @@ the complement of a shared atom is one event no matter which block computes
 it.  All arithmetic is exact rational so equality, UC1 and UC2 are hard
 yes/no answers.
 
+The arithmetic runs on Python integers, never on fixed-width ones.  Each
+logic scales every event key once by K = `key_scale`, the lcm of the key
+denominators, to the int row (k0, k1..kn) in `key_rows`.  A state's weights
+w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
+`state_row`, so mu(e) = (k0 W + sum_a k_a W w_a) / (K W) is one integer
+dot product.  Elimination is fraction-free (`rref`), and a `Fraction`
+is built only for a value that is reported: a key entry, a vertex
+coordinate, an event value or a right-hand side handed to
+`polytope_vertices`.  Events are indexed by their position in `events`
+(`FiniteEvent.index`).  `FiniteLogic.tables` holds the orthogonality table,
+the sum-index table and the complement list by position, and the axiom
+checks and the interference scan read them instead of hashing event keys.
+
 Text format, one block per line::
 
     # comment
@@ -19,15 +32,21 @@ Text format, one block per line::
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 # check_uc2 stops after this many failing (event, vertex) pairs; a search
 # record keeps no more.
 MAX_UC2_FAILURES = 5
+
+# Tuples and star-arguments are built from lists here, never from generators:
+# CPython gives `tuple(generator)` and `f(*generator)` a 10-slot tuple and
+# shrinks it, so every call strands one tuple on the free list of the shrunk
+# size, up to 2000 per size (about 1 MB of peak RSS over a search).
 
 
 # ---------------------------------------------------------------------------
@@ -35,28 +54,39 @@ MAX_UC2_FAILURES = 5
 # ---------------------------------------------------------------------------
 
 
-def rref(rows, limit=None):
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def _integer_rows(rows):
+    """Each row as a primitive integer row: times the lcm of its
+    denominators, then divided by the gcd of its entries."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*[v.denominator for v in row])
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        g = math.gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
+    return out
 
-    With `limit`, pivots are taken only in the first `limit` columns, so the
-    rows past the rank are zero there but may be nonzero after them.
-    """
+
+def _eliminate(rows, limit=None):
+    """`rref` of rows that are already integer lists."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols if limit is None else min(limit, ncols)):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if rows[r][c] != 1:
-            inv = ONE / rows[r][c]
-            rows[r] = [v * inv for v in rows[r]]
+        if rows[r][c] < 0:
+            rows[r] = [-v for v in rows[r]]
+        top = rows[r]
+        d = top[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [v - factor * p if p else v for v, p in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if i != r and a:
+                row = [d * v - a * w for v, w in zip(rows[i], top)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -64,14 +94,19 @@ def rref(rows, limit=None):
     return rows[:r] + [row for row in rows[r:] if any(row)], pivots
 
 
-def reduce_mod(vec, basis_rows, pivots):
-    """Canonical representative of vec modulo the row space."""
-    vec = list(vec)
-    for row, p in zip(basis_rows, pivots):
-        if vec[p] != 0:
-            factor = vec[p]
-            vec = [v - factor * r for v, r in zip(vec, row)]
-    return tuple(vec)
+def rref(rows, limit=None):
+    """Fraction-free reduced row echelon form of exact (int or `Fraction`)
+    rows; returns (nonzero integer rows, pivot column indices).
+
+    Pivot row r is d_r > 0 times the reduced row, with 0 in the other pivot
+    columns.  Elimination replaces a row by d * row - a * pivot row and
+    divides it by the gcd of its entries, so each row stays a positive
+    multiple of the row that `Fraction` elimination would give and has the
+    same zeros.  With `limit`, pivots are taken only in the first `limit`
+    columns, so the rows past the rank are zero there but may be nonzero
+    after them.
+    """
+    return _eliminate(_integer_rows(rows), limit)
 
 
 def polytope_vertices(eq_rows, rhs_columns, n):
@@ -81,9 +116,12 @@ def polytope_vertices(eq_rows, rhs_columns, n):
     Basic-solution enumeration over column supports; fine for n <= ~12.
     [A | b_1 ... b_k] is row-reduced once with pivots only in A's n columns,
     and a column is inconsistent iff it is nonzero in a row below the rank.
-    Each support S then takes one `rref` of [A_S | the consistent columns]:
-    S is a basis iff A_S reduces to the identity, a test all columns share,
-    and it gives a vertex of column b iff b's reduced entries are >= 0.
+    Each support S then takes one `_eliminate` of the integer rows
+    [A_S | the consistent columns]: S is a basis iff A_S has full rank, a
+    test all columns share, and it gives a vertex of column b iff b's
+    entries are >= 0, the pivots being positive.  A vertex
+    is kept as its integer form (D, D w) in lowest terms, and one `Fraction`
+    is built per coordinate of each distinct vertex.
     """
     width = len(rhs_columns)
     reduced, pivots = rref(
@@ -96,19 +134,24 @@ def polytope_vertices(eq_rows, rhs_columns, n):
     verts = [set() for _ in range(width)]
     tails = [[row[n + j] for j in live] for row in reduced[:rank]]
     for support in combinations(range(n), rank):
-        sub, sub_pivots = rref(
+        sub, sub_pivots = _eliminate(
             [[row[c] for c in support] + tail for row, tail in zip(reduced[:rank], tails)],
             limit=rank,
         )
         if len(sub_pivots) < rank:
             continue
+        scale = math.lcm(*[row[i] for i, row in enumerate(sub)])
         for k, j in enumerate(live, start=rank):
             if all(row[k] >= 0 for row in sub):
-                full = [ZERO] * n
-                for c, row in zip(support, sub):
-                    full[c] = row[k]
-                verts[j].add(tuple(full))
-    return [sorted(v) for v in verts]
+                full = [0] * n
+                for c, i, row in zip(support, range(rank), sub):
+                    full[c] = row[k] * (scale // row[i])
+                g = math.gcd(scale, *full)
+                verts[j].add((scale // g, *(v // g for v in full)))
+    return [
+        sorted(tuple([Fraction(v, form[0]) if v else ZERO for v in form[1:]]) for form in forms)
+        for forms in verts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +165,7 @@ class FiniteEvent:
 
     key: tuple  # (c0, c1..cn) reduced mod block relations
     reps: frozenset  # frozensets of atoms, each inside some block
+    index: int  # position in the logic's `events`
 
     def __eq__(self, other):
         return isinstance(other, FiniteEvent) and self.key == other.key
@@ -145,6 +189,9 @@ class SumUndefinedError(ValueError):
     pass
 
 
+_MISSING = object()
+
+
 def _cached(method):
     """A `FiniteLogic` method whose result is computed on the first call and
     then kept in self._cache under (method name, arguments)."""
@@ -152,81 +199,100 @@ def _cached(method):
     @functools.wraps(method)
     def cached(self, *args):
         slot = (method.__name__, args)
-        if slot not in self._cache:
-            self._cache[slot] = method(self, *args)
-        return self._cache[slot]
+        value = self._cache.get(slot, _MISSING)
+        if value is _MISSING:
+            value = self._cache[slot] = method(self, *args)
+        return value
 
     return cached
+
+
+def _dot(row, state):
+    """Integer dot product of an event row (k0, k1..kn) with a state row (W, W w_1..W w_n)."""
+    return sum(map(operator.mul, row, state))
 
 
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
-    Every exact quantity (event keys, complements, orthogonality, sums,
-    state vertices, the event-value and conditional tables) comes from a
-    `_cached` method: it is computed on first use and kept on the logic.
+    The events, their keys and integer `key_rows` are built with the logic.
+    Every other exact quantity (the position tables of orthogonality, sums
+    and complements, state vertices, the event-value and conditional
+    tables) comes from a `_cached` method: it is computed on first use and
+    kept on the logic.
     """
 
     def __init__(self, blocks, n_atoms=None):
         self.raw_blocks = [tuple(b) for b in blocks]
         atoms = {a for b in self.raw_blocks for a in b}
         self.n = n_atoms if n_atoms is not None else (max(atoms) if atoms else 0)
+        for b in self.raw_blocks:
+            for a in b:
+                if not 1 <= a <= self.n:
+                    raise ValueError(f"atom {a} of block {b} is outside 1..{self.n}")
         self.blocks = [tuple(sorted(set(b))) for b in self.raw_blocks]
-        rows = [[-ONE] + row for row in self.block_rows()[0]]
-        self._basis, self._pivots = rref(rows)
+        self._block_sets = [frozenset(b) for b in self.blocks]
+        self._basis, self._pivots = rref([[-1] + row for row in self.block_rows()[0]])
         self._cache = {}
-        self._events = {}
+        reps = {}
         for b in self.blocks:
-            bset = frozenset(b)
             for r in range(len(b) + 1):
-                for sub in combinations(sorted(bset), r):
-                    self._add_event(frozenset(sub))
-        self.events = sorted(self._events.values(), key=lambda e: e.key)
+                for sub in combinations(b, r):
+                    atom_set = frozenset(sub)
+                    reps.setdefault(self._form(atom_set), set()).add(atom_set)
+        # K, the lcm of the key denominators, scales each key to a row of
+        # ints; sorting those rows sorts the keys
+        self.key_scale = math.lcm(*[form[0] for form in reps])
+        scaled = sorted(
+            (tuple([v * (self.key_scale // form[0]) for v in form[1:]]), form) for form in reps
+        )
+        self.key_rows = [row for row, _ in scaled]
+        self.events = [
+            FiniteEvent(tuple([Fraction(v, self.key_scale) for v in row]), frozenset(reps[form]), i)
+            for i, (row, form) in enumerate(scaled)
+        ]
+        self._by_form = {form: e for (_, form), e in zip(scaled, self.events)}
+        self._position = {s: e.index for e in self.events for s in e.reps}
 
     # -- construction helpers ------------------------------------------------
 
-    @_cached
-    def _functional(self, atom_set):
-        vec = [ZERO] * (self.n + 1)
-        for a in atom_set:
-            vec[a] = ONE
-        return reduce_mod(vec, self._basis, self._pivots)
+    def _reduce(self, vec):
+        """Integer form (D, D c0, ..., D cn), in lowest terms with D > 0, of
+        the functional vec reduced modulo the block relations."""
+        scale = 1
+        for row, p in zip(self._basis, self._pivots):
+            a = vec[p]
+            if a:
+                d = row[p]
+                vec = [d * v - a * w for v, w in zip(vec, row)]
+                scale *= d
+        g = math.gcd(scale, *vec)
+        return (scale // g, *(v // g for v in vec))
 
-    def _add_event(self, atom_set):
-        key = self._functional(atom_set)
-        ev = self._events.get(key)
-        if ev is None:
-            self._events[key] = FiniteEvent(key, frozenset([atom_set]))
-        else:
-            self._events[key] = FiniteEvent(key, ev.reps | {atom_set})
+    @_cached
+    def _form(self, atom_set):
+        vec = [0] * (self.n + 1)
+        for a in atom_set:
+            vec[a] = 1
+        return self._reduce(vec)
 
     # -- basic structure -------------------------------------------------------
 
     @property
     def zero_event(self) -> FiniteEvent:
-        return self._events[self._functional(frozenset())]
+        return self._by_form[self._form(frozenset())]
 
     @property
     def one_event(self) -> FiniteEvent:
-        one_key = reduce_mod([ONE] + [ZERO] * self.n, self._basis, self._pivots)
-        ev = self._events.get(one_key)
+        ev = self._by_form.get(self._reduce([1] + [0] * self.n))
         if ev is None:
             raise SumUndefinedError("logic has no unit event (no blocks?)")
         return ev
 
     def event_by_atoms(self, atoms) -> FiniteEvent:
-        key = self._functional(frozenset(atoms))
-        ev = self._events.get(key)
+        ev = self._by_form.get(self._form(frozenset(atoms)))
         if ev is None:
             raise KeyError(f"{sorted(atoms)} is not an event of this logic")
-        return ev
-
-    @_cached
-    def complement(self, e: FiniteEvent) -> FiniteEvent:
-        key = reduce_mod([ONE - e.key[0]] + [-c for c in e.key[1:]], self._basis, self._pivots)
-        ev = self._events.get(key)
-        if ev is None:
-            raise KeyError("complement is not an event (broken logic)")
         return ev
 
     def _joins(self, e, f):
@@ -234,38 +300,83 @@ class FiniteLogic:
         for s in e.reps:
             for t in f.reps:
                 u = s | t
-                if not s & t and any(u.issubset(b) for b in self.blocks):
+                if not s & t and any(u <= b for b in self._block_sets):
                     yield u
 
-    @_cached
-    def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
-        """Orthogonal iff disjoint representatives fit in one block."""
+    def _joinable(self, e, f) -> bool:
         return next(self._joins(e, f), None) is not None
 
+    def _join_index(self, e, f):
+        """Position of e + f, or None where the sum depends on the representatives."""
+        positions = {self._position[u] for u in self._joins(e, f)}
+        return positions.pop() if len(positions) == 1 else None
+
+    def _complement_index(self, e):
+        # b - s for a rep s inside block b: 1 - 1_s and 1_{b - s} differ by
+        # the block relation 1_b - 1, so every such pair gives the one complement
+        s = next(iter(e.reps))
+        return self._position[next(b - s for b in self._block_sets if s <= b)]
+
     @_cached
+    def tables(self):
+        """(orth, sums, comp), indexed by position in `events`.
+
+        orth[i][j] says whether events i and j are orthogonal, sums[i][j] is
+        the position of their sum (None where they are not orthogonal or the
+        sum depends on the representatives) and comp[i] the position of the
+        complement of event i.  Built with one orthogonality test per ordered
+        pair and one sum per orthogonal ordered pair.
+        """
+        events = self.events
+        orth = [[self._joinable(e, f) for f in events] for e in events]
+        sums = [
+            [self._join_index(e, f) if o else None for f, o in zip(events, row)]
+            for e, row in zip(events, orth)
+        ]
+        return orth, sums, [self._complement_index(e) for e in events]
+
+    def complement(self, e: FiniteEvent) -> FiniteEvent:
+        return self.events[self.tables()[2][e.index]]
+
+    def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
+        """Orthogonal iff disjoint representatives fit in one block."""
+        return self.tables()[0][e.index][f.index]
+
     def sum(self, e: FiniteEvent, f: FiniteEvent) -> FiniteEvent:
         """e + f for orthogonal events; must be independent of representatives."""
-        keys = {self._functional(u) for u in self._joins(e, f)}
-        if not keys:
+        orth, sums, _ = self.tables()
+        s = sums[e.index][f.index]
+        if s is None:
+            if orth[e.index][f.index]:
+                raise SumUndefinedError("sum depends on the representatives")
             raise SumUndefinedError("events are not orthogonal")
-        if len(keys) > 1:
-            raise SumUndefinedError("sum depends on the representatives")
-        return self._events[keys.pop()]
+        return self.events[s]
+
+    # -- exact values -----------------------------------------------------------
+
+    def state_row(self, weights):
+        """(W, W w_1, ..., W w_n) for an atom-weight vector w, with W the lcm
+        of its denominators: mu(events[i]) = _dot(key_rows[i], row) / (K W)."""
+        if len(weights) != self.n:
+            raise ValueError(f"a state of this logic has {self.n} atom weights, not {len(weights)}")
+        scale = math.lcm(*[w.denominator for w in weights])
+        return (scale, *(w.numerator * (scale // w.denominator) for w in weights))
 
     def evaluate(self, weights, e: FiniteEvent) -> Fraction:
         """mu(e) for an atom-weight state vector (1-based atoms)."""
-        return e.key[0] + sum(c * w for c, w in zip(e.key[1:], weights))
+        state = self.state_row(weights)
+        return Fraction(_dot(self.key_rows[e.index], state), self.key_scale * state[0])
 
     # -- states ---------------------------------------------------------------
 
     def block_rows(self):
         rows, rhs = [], []
         for b in self.blocks:
-            row = [ZERO] * self.n
+            row = [0] * self.n
             for a in b:
-                row[a - 1] = ONE
+                row[a - 1] = 1
             rows.append(row)
-            rhs.append(ONE)
+            rhs.append(1)
         return rows, rhs
 
     @_cached
@@ -275,10 +386,21 @@ class FiniteLogic:
         return polytope_vertices(rows, [rhs], self.n)[0]
 
     @_cached
+    def vertex_values(self):
+        """(state rows, numerators, scales): the vertex states as `state_row`s,
+        and mu_v(events[i]) == numerators[i][v] / scales[v]."""
+        states = [self.state_row(v) for v in self.state_vertices()]
+        numerators = [tuple([_dot(row, s) for s in states]) for row in self.key_rows]
+        return states, numerators, [self.key_scale * s[0] for s in states]
+
+    @_cached
     def event_values(self):
         """{event key: (mu_v(e) for each vertex state v)}."""
-        verts = self.state_vertices()
-        return {e.key: tuple(self.evaluate(v, e) for v in verts) for e in self.events}
+        _, numerators, scales = self.vertex_values()
+        return {
+            e.key: tuple([Fraction(p, scale) for p, scale in zip(row, scales)])
+            for e, row in zip(self.events, numerators)
+        }
 
     @_cached
     def event_conditionals(self, e: FiniteEvent):
@@ -292,20 +414,25 @@ class FiniteLogic:
         `polytope_vertices` call.  An event that is zero at every vertex
         makes no call and returns ({}, None).
         """
-        verts = self.state_vertices()
-        positive = [vi for vi, p in enumerate(self.event_values()[e.key]) if p > 0]
+        states, numerators, _ = self.vertex_values()
+        positive = [vi for vi, p in enumerate(numerators[e.index]) if p > 0]
         if not positive:
             return {}, None
-        barycentre = tuple(sum(w) / len(verts) for w in zip(*verts))
+        # the mean of the rows w_v / W_v over a common scale L = lcm(W_v)
+        common = math.lcm(*[s[0] for s in states])
+        barycentre = [len(states) * common] + [
+            sum(s[a] * (common // s[0]) for s in states) for a in range(1, self.n + 1)
+        ]
         *at_vertices, at_barycentre = _conditional_vertex_lists(
-            self, e, [verts[vi] for vi in positive] + [barycentre]
+            self, e, [states[vi] for vi in positive] + [barycentre]
         )
         return dict(zip(positive, at_vertices)), at_barycentre
 
     def sub_events(self, e: FiniteEvent):
         """{f : f orthogonal to e'} = the events below e."""
-        ec = self.complement(e)
-        return [f for f in self.events if self.orthogonal(f, ec)]
+        orth, _, comp = self.tables()
+        c = comp[e.index]
+        return [f for f in self.events if orth[f.index][c]]
 
     # -- serialization ----------------------------------------------------------
 
@@ -342,10 +469,20 @@ class CheckReport:
 
 
 def check_os_axioms(logic: FiniteLogic) -> CheckReport:
-    """Exhaustive check of the six orthogonality-space axioms."""
+    """Exhaustive check of the six orthogonality-space axioms.
+
+    Reads the position tables of `FiniteLogic.tables`, walking the events
+    in order, so the first failure found names the same witness as a walk
+    over the public `orthogonal` / `sum` / `complement`.  OS6 compares the
+    set of sums e + d reachable from each e with the complements, so no
+    axiom but OS3 loops over triples.
+    """
 
     def fail(axiom, witness):
         return CheckReport(False, axiom, witness)
+
+    def name(i):
+        return logic.events[i].label()
 
     for b in logic.raw_blocks:
         if len(b) == 0:
@@ -359,93 +496,112 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
         return fail("structure", "atoms not covered by any block")
 
     events = logic.events
-    one = logic.one_event
-    zero = logic.zero_event
+    orth, sums, comp = logic.tables()
+    one = logic.one_event.index
+    zero = logic.zero_event.index
+    positions = range(len(events))
 
-    # OS1 symmetry is structural (orthogonal() is symmetric); verify anyway.
-    for e in events:
-        for f in events:
-            if logic.orthogonal(e, f) != logic.orthogonal(f, e):
-                return fail("OS1", f"{e.label()} vs {f.label()}")
+    # OS1 symmetry is structural (orthogonality is symmetric); verify anyway.
+    for i in positions:
+        for j in positions:
+            if orth[i][j] != orth[j][i]:
+                return fail("OS1", f"{name(i)} vs {name(j)}")
 
     # OS2: commutativity and well-definedness of the sum.
-    for e in events:
-        for f in events:
-            if logic.orthogonal(e, f):
-                try:
-                    s1 = logic.sum(e, f)
-                    s2 = logic.sum(f, e)
-                except SumUndefinedError as exc:
-                    return fail("OS2", f"{e.label()} + {f.label()}: {exc}")
-                if s1 != s2:
-                    return fail("OS2", f"{e.label()} + {f.label()} not commutative")
+    for i in positions:
+        for j in positions:
+            if orth[i][j]:
+                if sums[i][j] is None or sums[j][i] is None:
+                    try:
+                        logic.sum(events[i], events[j])
+                        logic.sum(events[j], events[i])
+                    except SumUndefinedError as exc:
+                        return fail("OS2", f"{name(i)} + {name(j)}: {exc}")
+                if sums[i][j] != sums[j][i]:
+                    return fail("OS2", f"{name(i)} + {name(j)} not commutative")
 
     # OS3: associativity of orthogonal sums.
-    for g in events:
-        for e in events:
-            if not logic.orthogonal(g, e):
-                continue
-            for f in events:
-                if not (logic.orthogonal(g, f) and logic.orthogonal(e, f)):
+    neighbours = [[j for j in positions if row[j]] for row in orth]
+    for g in positions:
+        for e in neighbours[g]:
+            ge = sums[g][e]
+            for f in neighbours[g]:
+                if not orth[e][f]:
                     continue
-                ef = logic.sum(e, f)
-                ge = logic.sum(g, e)
-                if not logic.orthogonal(g, ef):
-                    return fail("OS3", f"{g.label()} not orthogonal to {e.label()}+{f.label()}")
-                if not logic.orthogonal(f, ge):
-                    return fail("OS3", f"{f.label()} not orthogonal to {g.label()}+{e.label()}")
-                if logic.sum(g, ef) != logic.sum(ge, f):
-                    return fail("OS3", f"associativity at {g.label()},{e.label()},{f.label()}")
+                ef = sums[e][f]
+                if not orth[g][ef]:
+                    return fail("OS3", f"{name(g)} not orthogonal to {name(e)}+{name(f)}")
+                if not orth[f][ge]:
+                    return fail("OS3", f"{name(f)} not orthogonal to {name(g)}+{name(e)}")
+                if sums[g][ef] != sums[ge][f]:
+                    return fail("OS3", f"associativity at {name(g)},{name(e)},{name(f)}")
 
     # OS4: zero behaves.
-    for e in events:
-        if not logic.orthogonal(zero, e) or logic.sum(e, zero) != e:
-            return fail("OS4", e.label())
+    for e in positions:
+        if not orth[zero][e] or sums[e][zero] != e:
+            return fail("OS4", name(e))
 
-    # OS5: unique complement summing to one.
-    for e in events:
-        partners = [
-            d for d in events if logic.orthogonal(e, d) and logic.sum(e, d) == one
-        ]
-        if len(partners) != 1:
-            return fail("OS5", f"{e.label()} has {len(partners)} complements")
+    # OS5: unique complement summing to one (sums[e] holds None off the
+    # orthogonal pairs).
+    for e in positions:
+        partners = sums[e].count(one)
+        if partners != 1:
+            return fail("OS5", f"{name(e)} has {partners} complements")
 
     # OS6: e + d = f solvable iff e is orthogonal to f'.
-    for e in events:
-        for f in events:
-            solvable = any(
-                logic.orthogonal(e, d) and logic.sum(e, d) == f for d in events
-            )
-            if solvable != logic.orthogonal(e, logic.complement(f)):
-                return fail("OS6", f"{e.label()}, {f.label()}")
+    for e in positions:
+        reachable = set(sums[e])
+        for f in positions:
+            if (f in reachable) != orth[e][comp[f]]:
+                return fail("OS6", f"{name(e)}, {name(f)}")
 
     return CheckReport(True)
 
 
 def check_uc1(logic: FiniteLogic) -> CheckReport:
-    """Do the states separate every pair of distinct events?"""
-    values = logic.event_values()
+    """Do the states separate every pair of distinct events?
+
+    Two events agree on every state iff their integer value rows over the
+    vertex states are equal; the first such pair in `combinations` order is
+    reported.
+    """
     events = logic.events
     if len(events) > 1 and not logic.state_vertices():
         return CheckReport(False, "UC1", "logic admits no states")
-    for e, f in combinations(events, 2):
-        if values[e.key] == values[f.key]:
-            witness = f"events {e.label()} and {f.label()} agree on every state"
-            return CheckReport(False, "UC1", witness)
+    # pair each event with the first event of equal values; the least such
+    # pair (i, j), i < j, is the first in `combinations` order
+    first = {}
+    clashes = [(first.setdefault(row, j), j) for j, row in enumerate(logic.vertex_values()[1])]
+    clash = min(((i, j) for i, j in clashes if i != j), default=None)
+    if clash is not None:
+        e, f = (events[k] for k in clash)
+        witness = f"events {e.label()} and {f.label()} agree on every state"
+        return CheckReport(False, "UC1", witness)
     return CheckReport(True, "UC1", "")
 
 
 def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
-    """Conditional-state vertex lists under e of each atom-weight state, in one solve."""
+    """Conditional-state vertex lists under e of each state, given as a
+    `FiniteLogic.state_row`, in one solve.
+
+    A sub-event f of e adds the equation k_f . w = K (nu(f) - c0_f) on its
+    integer key row (k0_f, k_f) = K (c0_f, c_f).  With mu_f and mu_e the
+    integer numerators of the state at f and e, its right-hand side is
+    (K mu_f - k0_f mu_e) / mu_e, one `Fraction` per entry.
+    """
     subs = logic.sub_events(e)
+    scale, keys = logic.key_scale, logic.key_rows
+    sub_rows = [keys[f.index] for f in subs]
     rows, rhs = logic.block_rows()
-    rows += [list(f.key[1:]) for f in subs]
+    rows += [list(row[1:]) for row in sub_rows]
     columns = []
-    for weights in states:
-        pe = logic.evaluate(weights, e)
+    for state in states:
+        pe = _dot(keys[e.index], state)
         if pe <= 0:
             raise ValueError("conditioning needs mu(e) > 0")
-        columns.append(rhs + [logic.evaluate(weights, f) / pe - f.key[0] for f in subs])
+        columns.append(
+            rhs + [Fraction(scale * _dot(row, state) - row[0] * pe, pe) for row in sub_rows]
+        )
     return polytope_vertices(rows, columns, logic.n)
 
 
@@ -456,7 +612,7 @@ def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
     sub-event f of e.  Returns the exact vertex list (empty: none exists;
     a single vertex: the conditional probability is unique).
     """
-    return _conditional_vertex_lists(logic, e, [weights])[0]
+    return _conditional_vertex_lists(logic, e, [logic.state_row(weights)])[0]
 
 
 def _uc2_detail(e, state, cond):

@@ -32,13 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
 from . import jordan, model
-from .finite import FiniteLogic, conditional_table
+from .finite import FiniteLogic, SumUndefinedError, _dot, conditional_table
 from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
@@ -498,20 +497,31 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _orthogonal_tuples(logic: FiniteLogic, k, chosen=(), start=0):
-    """Depth-first walk over the k-tuples of mutually orthogonal events, in
-    event order with repeats, each with its signed group list.  Not a closure
-    in `finite_I3_scan`: recursion would make it a cycle that keeps the logic."""
+def _sum_position(sums, parts):
+    """Position of the sum of the mutually orthogonal events at `parts`."""
+    total = parts[0]
+    for j in parts[1:]:
+        total = sums[total][j]
+        if total is None:
+            raise SumUndefinedError("sum depends on the representatives")
+    return total
+
+
+def _orthogonal_tuples(orth, sums, k, chosen=(), start=0):
+    """Depth-first walk over the k-tuples of mutually orthogonal event
+    positions, in event order with repeats, each with its signed list of
+    group-sum positions, read from the position tables of
+    `FiniteLogic.tables`.  Not a closure in `finite_I3_scan`: a recursive
+    closure is a reference cycle that keeps the tables alive."""
     if len(chosen) == k:
-        yield chosen, [(sign, reduce(logic.sum, s)) for sign, s in _alternating_subsets(chosen)]
+        yield chosen, [(sign, _sum_position(sums, s)) for sign, s in _alternating_subsets(chosen)]
         return
     # without OS3 an event orthogonal to each chosen one can still fail to
-    # be orthogonal to their sum, which `logic.sum` needs
-    joint = [reduce(logic.sum, chosen)] if len(chosen) > 1 else []
-    events = logic.events
-    for j in range(start, len(events)):
-        if all(logic.orthogonal(g, events[j]) for g in (*chosen, *joint)):
-            yield from _orthogonal_tuples(logic, k, chosen + (events[j],), j)
+    # be orthogonal to their sum, which the group sums need
+    joint = (_sum_position(sums, chosen),) if len(chosen) > 1 else ()
+    for j in range(start, len(orth)):
+        if all(orth[g][j] for g in (*chosen, *joint)):
+            yield from _orthogonal_tuples(orth, sums, k, chosen + (j,), j)
 
 
 def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
@@ -521,50 +531,54 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     mutually orthogonal events; each term mu(f|g) mu(g) is mu(g) nu_g(f)
     with nu_g the unique conditional, or zero when mu(g) = 0.
 
-    The terms are tabulated once: terms[g][v] is the row over f of
-    mu_v(g) nu_{g,v}(f), times the common denominator L (the lcm of the
-    denominators of all rows), so every entry is an integer.  The row is all
-    zeros where mu_v(g) = 0 and None where the conditional is missing from
-    `conditionals`.  One depth-first walk yields the orthogonal k-tuples,
-    k = 2 and 3, and `_alternating_subsets` their signed groups g, so a
-    tuple at a vertex is the signed sum of 2^k - 1 integer rows; only the
-    reported maxima and witness values are divided by L again.  The first
-    configuration with the largest |value| wins.  Configurations whose
-    conditionals do not exist uniquely are counted in `skipped`
-    (len(events) per tuple and vertex) instead of being assigned a value.
+    The terms are tabulated once, in Python integers: terms[g][v] is the
+    row over f of mu_v(g) nu_{g,v}(f) times one common positive scale S.
+    With K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
+    `FiniteLogic.vertex_values` and nu(f) = I_f / (K W_nu) from the integer
+    `state_row` of nu, the row is p I_f / D with D = K W_v K W_nu, and S is
+    the lcm of all such D.  The row is all zeros where
+    mu_v(g) = 0 and None where the conditional is missing from
+    `conditionals`.  One depth-first walk over the position tables yields
+    the orthogonal k-tuples, k = 2 and 3, and `_alternating_subsets` their
+    signed groups g, so a tuple at a vertex is the signed sum of 2^k - 1
+    integer rows.  Only the reported maxima and witness values are
+    `Fraction(value, S)`; S is positive and shared, so the maxima and the
+    first configuration with the largest |value|, which wins, do not
+    depend on it.  Configurations whose conditionals do not exist uniquely
+    are counted in `skipped` (len(events) per tuple and vertex) instead of
+    being assigned a value.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
     verts = logic.state_vertices()
     events = logic.events
-    values = logic.event_values()
+    _, numerators, scales = logic.vertex_values()
 
-    exact = []  # exact[g][v]: the row of Fraction terms, indexed like `events`
-    for g in events:
+    zeros = [0] * len(events)
+    exact = []  # exact[g][v]: (D, the row of p I_f), None where nu is missing
+    for g, row in zip(events, numerators):
         rows = []
-        for vi, pg in enumerate(values[g.key]):
+        for vi, p in enumerate(row):
             nu = conditionals.get((g.key, vi))
-            if pg == 0:
-                rows.append([0] * len(events))
+            if p == 0:
+                rows.append((1, zeros))
             elif nu is None:
                 rows.append(None)
             else:
-                rows.append([pg * logic.evaluate(nu, f) for f in events])
+                nu_row = logic.state_row(nu)
+                denominator = scales[vi] * logic.key_scale * nu_row[0]
+                rows.append((denominator, [p * _dot(k, nu_row) for k in logic.key_rows]))
         exact.append(rows)
-    scale = math.lcm(*(x.denominator for rows in exact for row in rows if row for x in row))
-    terms = [
-        [row and [x.numerator * (scale // x.denominator) for x in row] for row in rows]
-        for rows in exact
-    ]
+    scale = math.lcm(*[term[0] for rows in exact for term in rows if term])
+    terms = [[t and [(scale // t[0]) * x for x in t[1]] for t in rows] for rows in exact]
     signed = {1: terms, -1: [[row and [-x for x in row] for row in rows] for rows in terms]}
-    index = {e.key: i for i, e in enumerate(events)}
 
     def scan_tuples(tuples):
         best = 0
         witness = None
         skipped = 0
         for parts, groups in tuples:
-            tables = [signed[sign][index[g.key]] for sign, g in groups]
+            tables = [signed[sign][g] for sign, g in groups]
             for vi in range(len(verts)):
                 rows = [table[vi] for table in tables]
                 if None in rows:
@@ -577,16 +591,17 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
                     fi = sizes.index(top)
                     best = totals[fi]
                     witness = {
-                        "events": [sorted(p.canonical_rep) for p in parts],
+                        "events": [sorted(events[p].canonical_rep) for p in parts],
                         "f": sorted(events[fi].canonical_rep),
                         "state_vertex": vi,
                         "value": str(Fraction(best, scale)),
                     }
         return Fraction(best, scale), witness, skipped
 
+    orth, sums, _ = logic.tables()
     scans = []
     for k in (2, 3):
-        tuples = list(_orthogonal_tuples(logic, k))
+        tuples = list(_orthogonal_tuples(orth, sums, k))
         scans.append((*scan_tuples(tuples), len(tuples)))
     (max_i2, wit_i2, skip2, pairs), (max_i3, wit_i3, skip3, triples) = scans
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ucplab.finite import (
+    CheckReport,
     FiniteLogic,
     SumUndefinedError,
     check_os_axioms,
@@ -16,6 +17,7 @@ from ucplab.finite import (
     polytope_vertices,
     rref,
 )
+from ucplab.search import SearchConfig, enumerate_logics
 
 F = Fraction
 BOOLEAN3 = [(1, 2, 3)]
@@ -23,6 +25,8 @@ BOOLEAN4 = [(1, 2, 3, 4)]
 PASTED = [(1, 2, 3), (3, 4, 5)]
 TRIANGLE = [(1, 2, 5), (2, 3, 6), (1, 3, 4)]
 SQUARE = [(1, 2), (2, 3), (3, 4), (4, 1)]  # a 4-cycle of 2-atom blocks
+REPEATED_ATOM = [(1, 1)]
+PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]  # Wright's pentagon
 
 
 def test_rref_exactness():
@@ -164,8 +168,145 @@ def test_os_failure_triangle():
 
 
 def test_os_failure_repeated_atom_block():
-    report = check_os_axioms(FiniteLogic([(1, 1)]))
+    report = check_os_axioms(FiniteLogic(REPEATED_ATOM))
     assert not report.passed
+
+
+def oracle_os_axioms(logic):
+    """The six orthogonality-space axioms as direct loops over the public
+    `orthogonal`, `sum` and `complement`, triple loops for OS3 and OS6."""
+
+    def fail(axiom, witness):
+        return CheckReport(False, axiom, witness)
+
+    for b in logic.raw_blocks:
+        if len(b) == 0:
+            return fail("structure", "empty block")
+        if len(set(b)) != len(b):
+            return fail("structure", f"repeated atom in block {b}: a nonzero event would be orthogonal to itself")
+    if not logic.blocks:
+        return fail("structure", "no blocks")
+    covered = {a for b in logic.blocks for a in b}
+    if covered != set(range(1, logic.n + 1)):
+        return fail("structure", "atoms not covered by any block")
+
+    events = logic.events
+    one = logic.one_event
+    zero = logic.zero_event
+
+    for e in events:
+        for f in events:
+            if logic.orthogonal(e, f) != logic.orthogonal(f, e):
+                return fail("OS1", f"{e.label()} vs {f.label()}")
+
+    for e in events:
+        for f in events:
+            if logic.orthogonal(e, f):
+                try:
+                    s1 = logic.sum(e, f)
+                    s2 = logic.sum(f, e)
+                except SumUndefinedError as exc:
+                    return fail("OS2", f"{e.label()} + {f.label()}: {exc}")
+                if s1 != s2:
+                    return fail("OS2", f"{e.label()} + {f.label()} not commutative")
+
+    for g in events:
+        for e in events:
+            if not logic.orthogonal(g, e):
+                continue
+            for f in events:
+                if not (logic.orthogonal(g, f) and logic.orthogonal(e, f)):
+                    continue
+                ef = logic.sum(e, f)
+                ge = logic.sum(g, e)
+                if not logic.orthogonal(g, ef):
+                    return fail("OS3", f"{g.label()} not orthogonal to {e.label()}+{f.label()}")
+                if not logic.orthogonal(f, ge):
+                    return fail("OS3", f"{f.label()} not orthogonal to {g.label()}+{e.label()}")
+                if logic.sum(g, ef) != logic.sum(ge, f):
+                    return fail("OS3", f"associativity at {g.label()},{e.label()},{f.label()}")
+
+    for e in events:
+        if not logic.orthogonal(zero, e) or logic.sum(e, zero) != e:
+            return fail("OS4", e.label())
+
+    for e in events:
+        partners = [d for d in events if logic.orthogonal(e, d) and logic.sum(e, d) == one]
+        if len(partners) != 1:
+            return fail("OS5", f"{e.label()} has {len(partners)} complements")
+
+    for e in events:
+        for f in events:
+            solvable = any(logic.orthogonal(e, d) and logic.sum(e, d) == f for d in events)
+            if solvable != logic.orthogonal(e, logic.complement(f)):
+                return fail("OS6", f"{e.label()}, {f.label()}")
+
+    return CheckReport(True)
+
+
+OS_ORACLE_LOGICS = [
+    *(blocks for _, blocks in enumerate_logics(SearchConfig(6, 4, 2, 2))),
+    *(blocks for _, blocks in enumerate_logics(SearchConfig(7, 3, 3, 3))),
+    TRIANGLE,
+    REPEATED_ATOM,
+    PENTAGON,
+]
+
+
+@pytest.mark.parametrize("blocks", OS_ORACLE_LOGICS, ids=str)
+def test_os_check_matches_triple_loop_oracle(blocks):
+    logic = FiniteLogic(blocks)
+    report, expected = check_os_axioms(logic), oracle_os_axioms(logic)
+    assert (report.passed, report.axiom, report.witness) == (
+        expected.passed,
+        expected.axiom,
+        expected.witness,
+    )
+
+
+@pytest.mark.parametrize("blocks", [BOOLEAN3, PASTED, TRIANGLE, SQUARE, PENTAGON], ids=str)
+def test_position_tables_match_the_representatives(blocks):
+    # orthogonal: disjoint representatives inside one block; sum: the event
+    # with their union as a representative, unless the unions disagree;
+    # complement: the rest of a block around a representative
+    logic = FiniteLogic(blocks)
+    owner = {s: e for e in logic.events for s in e.reps}
+    for e in logic.events:
+        for f in logic.events:
+            unions = {
+                owner[s | t]
+                for s in e.reps
+                for t in f.reps
+                if not s & t and any(s | t <= set(b) for b in logic.blocks)
+            }
+            assert logic.orthogonal(e, f) == bool(unions)
+            if len(unions) == 1:
+                assert logic.sum(e, f) == unions.pop()
+            else:
+                with pytest.raises(SumUndefinedError):
+                    logic.sum(e, f)
+        rest = {owner[frozenset(b) - s] for s in e.reps for b in logic.blocks if s <= set(b)}
+        assert rest == {logic.complement(e)}
+
+
+def test_os_check_sums_each_orthogonal_pair_at_most_once(monkeypatch):
+    # OS3 and OS6 read the position tables; a loop that asks for a sum per
+    # triple would make far more calls
+    calls = []
+    for name in ("sum", "_join_index"):
+        original = getattr(FiniteLogic, name)
+
+        def counted(self, *args, _original=original):
+            calls.append(args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(FiniteLogic, name, counted)
+    logic = FiniteLogic(BOOLEAN4)
+    assert check_os_axioms(logic).passed
+    made = len(calls)
+    pairs = sum(logic.orthogonal(e, f) for e in logic.events for f in logic.events)
+    assert pairs == 3**4  # each atom in e, in f or in neither
+    assert 0 < made <= pairs
 
 
 def test_sum_undefined_for_non_orthogonal():
@@ -185,8 +326,9 @@ def test_conditional_table_boolean():
             assert table[(e.key, vi)] == (F(1), F(0), F(0))
 
 
-def test_cached_tables_match_direct_evaluation():
-    logic = FiniteLogic(PASTED)
+@pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
+def test_cached_tables_match_direct_evaluation(blocks):
+    logic = FiniteLogic(blocks)
     verts = logic.state_vertices()
     values = logic.event_values()
     assert values == {e.key: tuple(logic.evaluate(v, e) for v in verts) for e in logic.events}
@@ -256,6 +398,30 @@ def test_uc2_interior_stage_is_reported_after_every_vertex_passes(monkeypatch):
     assert report.witness == "event {1,2}, barycentre state"
     assert [d["state_vertex"] for d in report.details if not d["unique"]] == ["barycentre"]
     assert all(d["unique"] for d in report.details[:-1])
+
+
+@pytest.mark.parametrize(
+    "blocks, n_atoms, atom",
+    [
+        ([(0, 1, 2)], None, 0),  # would have been the constant slot c0
+        ([(-1, 1, 2)], None, -1),  # would have been the last atom's slot
+        ([(1, 2, 5)], 3, 5),  # past the declared atom count
+    ],
+)
+def test_atoms_outside_the_logic_are_rejected(blocks, n_atoms, atom):
+    with pytest.raises(ValueError, match=rf"atom {atom} of block \({blocks[0][0]}, "):
+        FiniteLogic(blocks, n_atoms)
+
+
+def test_evaluate_rejects_a_weight_vector_of_the_wrong_length():
+    logic = FiniteLogic(BOOLEAN3)
+    e = logic.event_by_atoms({1})
+    assert logic.evaluate((F(1), F(0), F(0)), e) == 1
+    for weights in [(F(1),), (F(1), F(0), F(0), F(0))]:
+        with pytest.raises(ValueError, match="3 atom weights"):
+            logic.evaluate(weights, e)
+        with pytest.raises(ValueError, match="3 atom weights"):
+            conditional_state_vertices(logic, weights, e)
 
 
 def test_text_roundtrip():
