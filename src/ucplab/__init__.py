@@ -17,14 +17,8 @@ from .finite import (
     conditional_table,
 )
 from .interference import (
-    I2_operator,
     I2_scalar,
-    I3_operator,
     I3_scalar,
-    LinearOperator,
-    S_map,
-    T_map,
-    U_operator,
     a1_check,
     corridor_sample,
     corridor_samples,

@@ -11,13 +11,15 @@ All the maps here are linear on the Hermitian elements of a matrix model:
 
 Every compression is the batched (..., D, D) matrix that `jordan._u_dense`
 builds from the model's tabulated `jordan.structure_constants`; it acts on
-coordinate columns over `jordan.hermitian_basis`.  `LinearOperator` holds
-one such matrix, and every battery states its identities as sums and `@`
-products of them, applied to coordinate columns where an identity acts on
-events.  `_alternating_subsets` is the one sign rule of I2 and I3:
-`_interference_dense` sums compressions over it and `finite_I3_scan` exact
-rows.  Each compression is built on its own, so the vanishing of I3 is a
-numerical fact and not an algebraic cancellation.
+coordinate columns over `jordan.hermitian_basis`.  Every battery states its
+identities as sums and `@` products of these raw matrices, applied to
+coordinate columns where an identity acts on events.  `_alternating_subsets`
+is the one sign rule of I2 and I3: `_interference_dense` sums compressions
+over it, `I2_scalar` and `I3_scalar` evaluate mu on that sum applied to f,
+and `finite_I3_scan` sums exact rows over it.  Each compression is built on
+its own, so the vanishing of I3 is a numerical fact and not an algebraic
+cancellation.  Every entry point that takes events checks them with
+`jordan._require_events`: one model, and every event idempotent.
 
 The corridor needs no matrix.  With e' = 1 - e, linearity alone sums the two
 compressions in p = mu(U_e f) + mu(U_e' f) to mu(f - 4 (e o f - e o (e o f))),
@@ -30,18 +32,17 @@ for one sample and for a batch alike.  On the dyadic entries of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from . import jordan, model
+from . import model
 from .finite import FiniteLogic, SumUndefinedError, _dot, conditional_table
 from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
-    NotIdempotentError,
     _from_coords,
     _identity,
     _inner,
@@ -49,12 +50,12 @@ from .jordan import (
     _matmul,
     _norm,
     _random_elements,
+    _require_events,
     _rng,
     _separated_spectral_batch,
     _trace,
     _u_dense,
     coords,
-    from_coords,
 )
 from .model import State
 
@@ -123,51 +124,6 @@ def _interference_dense(desc: AlgebraDescriptor, *parts) -> np.ndarray:
     return sum(sign * _u_dense(desc, sum(subset)) for sign, subset in _alternating_subsets(parts))
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """Linear map on the Hermitian elements of one model.
-
-    `matrix` is its dense (D, D) column action on coordinates over
-    `jordan.hermitian_basis`.
-    """
-
-    descriptor: AlgebraDescriptor
-    matrix: np.ndarray
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return from_coords(self.matrix @ coords(x, self.descriptor), self.descriptor)
-
-
-def U_operator(e: AlgebraElement) -> LinearOperator:
-    if not jordan.is_idempotent(e):
-        raise NotIdempotentError("event must be idempotent")
-    return LinearOperator(e.descriptor, _u_dense(e.descriptor, e.entries))
-
-
-def S_map(e: AlgebraElement) -> LinearOperator:
-    """S_e = 2 U_e + 2 U_e' - id."""
-    u, u_comp = U_operator(e).matrix, U_operator(model.complement(e)).matrix
-    return LinearOperator(e.descriptor, 2.0 * u + 2.0 * u_comp - np.eye(len(u)))
-
-
-def T_map(e: AlgebraElement) -> LinearOperator:
-    """T_e = (id + U_e - U_e') / 2."""
-    u, u_comp = U_operator(e).matrix, U_operator(model.complement(e)).matrix
-    return LinearOperator(e.descriptor, _t_dense(u, u_comp))
-
-
-def I2_operator(e1: AlgebraElement, e2: AlgebraElement) -> LinearOperator:
-    desc = e1.descriptor
-    _require_orthogonal(e1.entries, e2.entries)
-    return LinearOperator(desc, _interference_dense(desc, e1.entries, e2.entries))
-
-
-def I3_operator(e1: AlgebraElement, e2: AlgebraElement, e3: AlgebraElement) -> LinearOperator:
-    desc = e1.descriptor
-    _require_orthogonal(e1.entries, e2.entries, e3.entries)
-    return LinearOperator(desc, _interference_dense(desc, e1.entries, e2.entries, e3.entries))
-
-
 def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     """Max over random orthogonal triples of the dense-matrix max-norm of
     the third-order map.
@@ -190,13 +146,23 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _interference_scalar(mu: State, f: AlgebraElement, *events: AlgebraElement) -> float:
+    """mu(I_k f) for the k mutually orthogonal `events`, with
+    `_interference_dense` applied to the coordinates of the event f."""
+    desc = _require_events((f, *events), (mu.density,))
+    parts = [e.entries for e in events]
+    _require_orthogonal(*parts)
+    image = _interference_dense(desc, *parts) @ coords(f, desc)
+    return float(_inner(mu.density.entries, _from_coords(image, desc)))
+
+
 def I2_scalar(mu: State, f: AlgebraElement, e1: AlgebraElement, e2: AlgebraElement) -> float:
     """mu(f|e1+e2) mu(e1+e2) - mu(f|e1) mu(e1) - mu(f|e2) mu(e2).
 
     Each term is evaluated as mu(U_e f), which stays well defined when
     mu(e) vanishes.
     """
-    return model.evaluate(mu, I2_operator(e1, e2)(f))
+    return _interference_scalar(mu, f, e1, e2)
 
 
 def I3_scalar(
@@ -207,7 +173,7 @@ def I3_scalar(
     e3: AlgebraElement,
 ) -> float:
     """The seven-term alternating sum over one, two and three open slits."""
-    return model.evaluate(mu, I3_operator(e1, e2, e3)(f))
+    return _interference_scalar(mu, f, e1, e2, e3)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +181,7 @@ def I3_scalar(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorridorPoint:
+class CorridorPoint(NamedTuple):
     p: float  # mu(U_e f) + mu(U_e' f)
     q: float  # mu(f)
     lower_ok: bool  # q >= 2p - 1
@@ -237,10 +202,7 @@ def _corridor_rows(rho, e, f, tol):
 
 
 def corridor_sample(mu: State, e: AlgebraElement, f: AlgebraElement, tol=1e-9) -> CorridorPoint:
-    e._check(f)
-    mu.density._check(e)
-    if not jordan.is_idempotent(e):
-        raise NotIdempotentError("conditionalization requires an idempotent")
+    _require_events((e,), (f, mu.density))
     rows = _corridor_rows(mu.density.entries[None], e.entries[None], f.entries[None], tol)
     return CorridorPoint(*(row[0].item() for row in rows))
 
@@ -283,7 +245,7 @@ def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=Fal
     for start in range(0, trials, CORRIDOR_CHUNK):
         rho, e, f = _corridor_draw(desc, rng, min(CORRIDOR_CHUNK, trials - start), classical)
         rows.extend(zip(*(row.tolist() for row in _corridor_rows(rho, e, f, tol))))
-    return [CorridorPoint(*row) for row in rows]
+    return list(map(CorridorPoint._make, rows))
 
 
 def saturating_configuration(desc: AlgebraDescriptor):
@@ -346,9 +308,7 @@ def a1_check(e: AlgebraElement, f: AlgebraElement) -> float:
     equivalent symmetric form T_e f = T_f e, and (associative levels only)
     the distance of both sides from e + f - ef - fe.
     """
-    if not (jordan.is_idempotent(e) and jordan.is_idempotent(f)):
-        raise NotIdempotentError("events must be idempotent")
-    desc = e.descriptor
+    desc = _require_events((e, f))
     defects = _symmetry_defects(e.entries, f.entries, desc)
     return max(
         _onorm(d, desc)
@@ -359,9 +319,7 @@ def a1_check(e: AlgebraElement, f: AlgebraElement) -> float:
 
 def eq10_check(e: AlgebraElement, f: AlgebraElement) -> float:
     """Residual of I2(e, e') f - I2(f, f') e = 2 U_f e - 2 U_e f."""
-    if not (jordan.is_idempotent(e) and jordan.is_idempotent(f)):
-        raise NotIdempotentError("events must be idempotent")
-    desc = e.descriptor
+    desc = _require_events((e, f))
     (defect,) = _symmetry_defects(e.entries, f.entries, desc)["second_order_difference"]
     return _onorm(defect, desc)
 

@@ -392,12 +392,25 @@ def is_idempotent(e: AlgebraElement, tol=IDEMPOTENT_TOL) -> bool:
     return bool(np.abs(diff).max() <= tol * (1.0 + np.abs(e.entries).max()))
 
 
+def _require_events(events, others=()) -> AlgebraDescriptor:
+    """The one descriptor of the elements `events` and `others`.
+
+    Raises DescriptorMismatchError unless they all share it, and
+    NotIdempotentError unless every element of `events` is idempotent.  It is
+    the one event check of the compressions (`quadratic_map_U`, through which
+    `model` conditions) and of the `interference` entry points.
+    """
+    first = events[0]
+    for x in (*events, *others):
+        first._check(x)
+    if not all(map(is_idempotent, events)):
+        raise NotIdempotentError("events must be idempotent")
+    return first.descriptor
+
+
 def quadratic_map_U(e: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     """U_e x = 2 e o (e o x) - e o x; equals e x e at associative levels."""
-    e._check(x)
-    if not is_idempotent(e):
-        raise NotIdempotentError("conditionalization requires an idempotent")
-    desc = e.descriptor
+    desc = _require_events((e,), (x,))
     return AlgebraElement(desc, _from_coords(_u_dense(desc, e.entries) @ coords(x, desc), desc))
 
 
@@ -543,9 +556,15 @@ def structure_constants(desc: AlgebraDescriptor) -> np.ndarray:
 
 
 def coords(x, desc: AlgebraDescriptor) -> np.ndarray:
-    """Coordinates w.r.t. hermitian_basis; accepts raw arrays or elements."""
-    arr = x.entries if isinstance(x, AlgebraElement) else np.asarray(x)
-    return np.einsum("bijc,...ijc->...b", hermitian_basis(desc), arr)
+    """Coordinates w.r.t. hermitian_basis; accepts raw arrays or elements.
+
+    An element must belong to `desc`; a raw array is taken as it is.
+    """
+    if isinstance(x, AlgebraElement):
+        if x.descriptor != desc:
+            raise DescriptorMismatchError(f"{x.descriptor} vs {desc}")
+        x = x.entries
+    return np.einsum("bijc,...ijc->...b", hermitian_basis(desc), np.asarray(x))
 
 
 def _from_coords(vec, desc: AlgebraDescriptor) -> np.ndarray:

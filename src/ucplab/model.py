@@ -20,9 +20,7 @@ from .jordan import (
     AlgebraElement,
     DEFAULT_TOL,
     STATE_TOL,
-    NotIdempotentError,
     inner,
-    is_idempotent,
     quadratic_map_U,
 )
 
@@ -95,6 +93,4 @@ def conditional_state(mu: State, e: AlgebraElement) -> State:
     pe = evaluate(mu, e)
     if pe <= DEFAULT_TOL:
         raise ConditioningOnNullError(f"mu(e) = {pe} is not positive")
-    if not is_idempotent(e):
-        raise NotIdempotentError("conditioning requires an idempotent event")
     return State((1.0 / pe) * quadratic_map_U(e, mu.density))

@@ -9,14 +9,9 @@ import pytest
 
 from ucplab.finite import FiniteLogic, conditional_table
 from ucplab.interference import (
-    I2_operator,
     I2_scalar,
-    I3_operator,
     I3_scalar,
     NotOrthogonalError,
-    S_map,
-    T_map,
-    U_operator,
     a1_check,
     corridor_sample,
     corridor_samples,
@@ -102,29 +97,54 @@ def element_onorm(x, desc):
     return float(np.abs(_eigenvalues_raw(_hermitize(x), desc)).max())
 
 
-def test_u_operator_requires_idempotent():
-    desc = AlgebraDescriptor("C", 2)
-    with pytest.raises(Exception):
-        U_operator(random_element(desc, rng_seed=0))
-
-
-def test_i2_operator_requires_orthogonality():
+def test_i2_scalar_requires_orthogonality():
     desc = AlgebraDescriptor("C", 3)
+    mu = State.random(desc, rng_seed=0)
     e = random_projection(desc, rank=2, rng_seed=1)
     with pytest.raises(NotOrthogonalError):
-        I2_operator(e, e)
+        I2_scalar(mu, e, e, e)
 
 
 def test_operators_share_the_model_orthogonality_test():
     # 1e-7 off-diagonal entries: e o f is of order 1e-7, above the 1e-8 tolerance
     desc = AlgebraDescriptor("R", 2)
+    mu = State.random(desc, rng_seed=0)
     e = AlgebraElement(desc, np.array([[[1.0], [1e-7]], [[1e-7], [0.0]]]))
     f = AlgebraElement(desc, np.array([[[0.0], [1e-7]], [[1e-7], [1.0]]]))
     assert not orthogonal(e, f)
     with pytest.raises(NotOrthogonalError):
-        I2_operator(e, f)
+        I2_scalar(mu, e, e, f)
     with pytest.raises(NotOrthogonalError):
-        I3_operator(e, f, AlgebraElement(desc, np.zeros((2, 2, 1))))
+        I3_scalar(mu, e, e, f, AlgebraElement(desc, np.zeros((2, 2, 1))))
+
+
+def test_interference_scalars_reject_elements_of_another_model():
+    # the size-1 scalar axis of R2 broadcasts against C2 coordinates, so
+    # without a descriptor check this evaluates to a number
+    r2, c2 = AlgebraDescriptor("R", 2), AlgebraDescriptor("C", 2)
+    mu = State.random(r2, rng_seed=0)
+    e1, e2 = spectral_decompose(random_element(r2, rng_seed=1)).idempotents
+    f = random_projection(c2, rank=1, rng_seed=2)
+    with pytest.raises(DescriptorMismatchError):
+        I2_scalar(mu, f, e1, e2)
+    with pytest.raises(DescriptorMismatchError):
+        I3_scalar(mu, f, e1, e2, identity(r2) - e1 - e2)
+    with pytest.raises(DescriptorMismatchError):
+        I2_scalar(State.random(c2, rng_seed=3), e1, e1, e2)
+
+
+def test_interference_scalars_reject_non_events():
+    desc = AlgebraDescriptor("C", 3)
+    mu = State.random(desc, rng_seed=0)
+    f = random_projection(desc, rank=1, rng_seed=1)
+    e1, e2, e3 = spectral_decompose(random_element(desc, rng_seed=2)).idempotents
+    with pytest.raises(NotIdempotentError):
+        I2_scalar(mu, f, 2 * e1, e2)
+    with pytest.raises(NotIdempotentError):
+        I3_scalar(mu, f, e1, e2, 2 * e3)
+    # f is an event too: mu(f|e) is defined for events
+    with pytest.raises(NotIdempotentError):
+        I2_scalar(mu, random_element(desc, rng_seed=3), e1, e2)
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -150,8 +170,7 @@ def test_third_order_terms_vanish(level, n):
         es.append(identity(desc) - es[0] - es[1])
     tol = 1e-8 if level == "O" else 1e-9
     assert abs(I3_scalar(mu, f, es[0], es[1], es[2])) <= tol
-    op = I3_operator(es[0], es[1], es[2])
-    assert np.abs(op.matrix).max() <= tol
+    assert np.abs(_interference_dense(desc, *(e.entries for e in es[:3]))).max() <= tol
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -175,20 +194,22 @@ def test_dense_builder_matches_vector_oracle(level, n):
     e, f = g[0], g[1]
     composed = coords(u_apply(e, u_apply(f, x[0])), desc)
     assert np.abs(dense[0] @ dense[1] @ coords(x[0], desc) - composed).max() <= 1e-12
-    # I2_operator and I3_operator agree with the sums of vector compressions
+    # I2_scalar and I3_scalar agree with the sums of vector compressions
     es = list(spectral_decompose(random_element(desc, rng_seed=40)).idempotents)
     if len(es) == 2:
         es.append(identity(desc) - es[0] - es[1])
     a, b, c = (p.entries for p in es[:3])
-    y = random_element(desc, rng_seed=41)
+    y = random_projection(desc, rank=1, rng_seed=41)
+    mu = State.random(desc, rng_seed=42)
 
     ua, ub, uc, uab, ubc, uac, uabc = (
         u_apply(p, y.entries) for p in (a, b, c, a + b, b + c, a + c, a + b + c)
     )
     two = uab - ua - ub
     seven = uabc - uab - ubc - uac + ua + ub + uc
-    assert np.abs(I2_operator(es[0], es[1])(y).entries - two).max() <= 1e-12
-    assert np.abs(I3_operator(*es[:3])(y).entries - seven).max() <= 1e-12
+    rho = mu.density.entries
+    assert abs(I2_scalar(mu, y, es[0], es[1]) - _inner(rho, two)) <= 1e-12
+    assert abs(I3_scalar(mu, y, *es[:3]) - _inner(rho, seven)) <= 1e-12
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -227,19 +248,6 @@ def test_u_dense_matches_basis_image_oracle(level, n, batch):
     got = _u_dense(desc, g)
     assert got.shape == batch + (desc.basis_dim, desc.basis_dim)
     assert np.abs(got - basis_image_u_dense(desc, g)).max() <= 1e-12
-
-
-def test_operator_algebra_relations():
-    # U_e = 2 T_e^2 - T_e and S_e = 2 U_e + 2 U_e' - id on the basis.
-    desc = AlgebraDescriptor("C", 3)
-    e = random_projection(desc, rank=1, rng_seed=11)
-    t = T_map(e).matrix
-    u = U_operator(e).matrix
-    s = S_map(e).matrix
-    uc = U_operator(identity(desc) - e).matrix
-    eye = np.eye(desc.basis_dim)
-    assert np.abs(2 * t @ t - t - u).max() <= 1e-9
-    assert np.abs(s - 2 * u - 2 * uc + eye).max() <= 1e-12
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -330,6 +338,16 @@ def test_a1_and_eq10_single_pair():
     f = random_projection(desc, rank=2, rng_seed=16)
     assert a1_check(e, f) <= 1e-9
     assert eq10_check(e, f) <= 1e-9
+
+
+def test_a1_and_eq10_reject_events_of_another_model():
+    e = random_projection(AlgebraDescriptor("H", 3), rank=1, rng_seed=15)
+    f = random_projection(AlgebraDescriptor("C", 3), rank=1, rng_seed=16)
+    for check in (a1_check, eq10_check):
+        with pytest.raises(DescriptorMismatchError):
+            check(e, f)
+        with pytest.raises(NotIdempotentError):
+            check(e, 2 * e)
 
 
 @pytest.mark.parametrize("level,n", MODELS)

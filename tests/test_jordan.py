@@ -292,6 +292,16 @@ def test_descriptor_mismatch_raises():
         x + y
 
 
+def test_coords_rejects_an_element_of_another_model():
+    # the size-1 scalar axis of R2 broadcasts against C2, so without a check
+    # each would get coordinates in the other model
+    r2, c2 = AlgebraDescriptor("R", 2), AlgebraDescriptor("C", 2)
+    with pytest.raises(DescriptorMismatchError):
+        coords(random_element(c2, rng_seed=1), r2)
+    with pytest.raises(DescriptorMismatchError):
+        coords(random_element(r2, rng_seed=1), c2)
+
+
 def test_spectral_rejects_non_hermitian():
     desc = AlgebraDescriptor("C", 2)
     entries = np.zeros((2, 2, 2))

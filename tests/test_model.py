@@ -7,6 +7,7 @@ from ucplab.interference import saturating_configuration
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
+    NotIdempotentError,
     identity,
     is_positive,
     random_projection,
@@ -107,6 +108,16 @@ def test_conditioning_on_null_event_raises():
     with pytest.raises(ConditioningOnNullError):
         conditional_state(mu, e)
     with pytest.raises(ConditioningOnNullError):
+        conditional_probability(mu, e, identity(e.descriptor))
+
+
+def test_conditioning_requires_an_event():
+    # 1.5 times the first diagonal unit: mu(e) = 0.75 is positive, e is not idempotent
+    mu = State(diag_element("C", 2, [0.5, 0.5]))
+    e = diag_element("C", 2, [1.5, 0.0])
+    with pytest.raises(NotIdempotentError):
+        conditional_state(mu, e)
+    with pytest.raises(NotIdempotentError):
         conditional_probability(mu, e, identity(e.descriptor))
 
 
