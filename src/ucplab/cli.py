@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -190,7 +191,9 @@ def cmd_classify(parser, args):
     return 0 if "scan" in record else 1
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process; parsing leaves it unchanged, so every `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="ucplab",
         description="numerical verification lab for conditional-probability logics",

@@ -10,17 +10,16 @@ it.  All arithmetic is exact rational so equality, UC1 and UC2 are hard
 yes/no answers.
 
 The arithmetic runs on Python integers, never on fixed-width ones.  Each
-logic scales every event key once by K = `key_scale`, the lcm of the key
-denominators, to the int row (k0, k1..kn) in `key_rows`.  A state's weights
-w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
+logic scales every event functional once by K = `key_scale`, the lcm of
+its denominators, to the int row (k0, k1..kn) in `key_rows`.  A state's
+weights w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
 `state_row`, so mu(e) = (k0 W + sum_a k_a W w_a) / (K W) is one integer
-dot product.  Elimination is fraction-free (`rref`), and a `Fraction`
-is built only for a value that is reported: a key entry, a vertex
-coordinate, an event value or a right-hand side handed to
-`polytope_vertices`.  Events are indexed by their position in `events`
-(`FiniteEvent.index`).  `FiniteLogic.tables` holds the orthogonality table,
-the sum-index table and the complement list by position, and the axiom
-checks and the interference scan read them instead of hashing event keys.
+dot product.  Elimination is fraction-free (`rref`), and a `Fraction` is
+built only for a value that is reported: a vertex coordinate, an event
+value or a right-hand side handed to `polytope_vertices`.  An event is
+identified by its position in `events` (`FiniteEvent.index`) alone:
+`FiniteLogic.tables` holds orthogonality, sums and complements by position,
+and the axiom checks, the conditional table and the scan key on positions.
 
 Text format, one block per line::
 
@@ -159,22 +158,14 @@ def polytope_vertices(eq_rows, rhs_columns, n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteEvent:
-    """An event class: reduced affine functional plus its atom-set reps."""
+    """An event of one logic: its atom-set representatives and its position
+    in `events`, its only identity.  Lookups return that one object, so
+    events compare and hash by identity; the functional is `key_rows[index]`."""
 
-    key: tuple  # (c0, c1..cn) reduced mod block relations
     reps: frozenset  # frozensets of atoms, each inside some block
     index: int  # position in the logic's `events`
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteEvent) and self.key == other.key
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.key))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def canonical_rep(self):
@@ -215,9 +206,9 @@ def _dot(row, state):
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
-    The events, their keys and integer `key_rows` are built with the logic.
+    The events and their integer `key_rows` are built with the logic.
     Every other exact quantity (the position tables of orthogonality, sums
-    and complements, state vertices, the event-value and conditional
+    and complements, state vertices, the vertex-value and conditional
     tables) comes from a `_cached` method: it is computed on first use and
     kept on the logic.
     """
@@ -240,17 +231,14 @@ class FiniteLogic:
                 for sub in combinations(b, r):
                     atom_set = frozenset(sub)
                     reps.setdefault(self._form(atom_set), set()).add(atom_set)
-        # K, the lcm of the key denominators, scales each key to a row of
-        # ints; sorting those rows sorts the keys
+        # K, the lcm of the functionals' denominators, scales each to a row
+        # of ints; the events are numbered in the sorted order of those rows
         self.key_scale = math.lcm(*[form[0] for form in reps])
         scaled = sorted(
             (tuple([v * (self.key_scale // form[0]) for v in form[1:]]), form) for form in reps
         )
         self.key_rows = [row for row, _ in scaled]
-        self.events = [
-            FiniteEvent(tuple([Fraction(v, self.key_scale) for v in row]), frozenset(reps[form]), i)
-            for i, (row, form) in enumerate(scaled)
-        ]
+        self.events = [FiniteEvent(frozenset(reps[form]), i) for i, (_, form) in enumerate(scaled)]
         self._by_form = {form: e for (_, form), e in zip(scaled, self.events)}
         self._position = {s: e.index for e in self.events for s in e.reps}
 
@@ -303,14 +291,6 @@ class FiniteLogic:
                 if not s & t and any(u <= b for b in self._block_sets):
                     yield u
 
-    def _joinable(self, e, f) -> bool:
-        return next(self._joins(e, f), None) is not None
-
-    def _join_index(self, e, f):
-        """Position of e + f, or None where the sum depends on the representatives."""
-        positions = {self._position[u] for u in self._joins(e, f)}
-        return positions.pop() if len(positions) == 1 else None
-
     def _complement_index(self, e):
         # b - s for a rep s inside block b: 1 - 1_s and 1_{b - s} differ by
         # the block relation 1_b - 1, so every such pair gives the one complement
@@ -324,15 +304,15 @@ class FiniteLogic:
         orth[i][j] says whether events i and j are orthogonal, sums[i][j] is
         the position of their sum (None where they are not orthogonal or the
         sum depends on the representatives) and comp[i] the position of the
-        complement of event i.  Built with one orthogonality test per ordered
-        pair and one sum per orthogonal ordered pair.
+        complement of event i.  One `_joins` pass per ordered pair gives both:
+        orthogonal iff it has a join, a sum iff all its joins are one event.
         """
         events = self.events
-        orth = [[self._joinable(e, f) for f in events] for e in events]
-        sums = [
-            [self._join_index(e, f) if o else None for f, o in zip(events, row)]
-            for e, row in zip(events, orth)
-        ]
+        orth, sums = [], []
+        for e in events:
+            joins = [{self._position[u] for u in self._joins(e, f)} for f in events]
+            orth.append([bool(positions) for positions in joins])
+            sums.append([positions.pop() if len(positions) == 1 else None for positions in joins])
         return orth, sums, [self._complement_index(e) for e in events]
 
     def complement(self, e: FiniteEvent) -> FiniteEvent:
@@ -392,15 +372,6 @@ class FiniteLogic:
         states = [self.state_row(v) for v in self.state_vertices()]
         numerators = [tuple([_dot(row, s) for s in states]) for row in self.key_rows]
         return states, numerators, [self.key_scale * s[0] for s in states]
-
-    @_cached
-    def event_values(self):
-        """{event key: (mu_v(e) for each vertex state v)}."""
-        _, numerators, scales = self.vertex_values()
-        return {
-            e.key: tuple([Fraction(p, scale) for p, scale in zip(row, scales)])
-            for e, row in zip(self.events, numerators)
-        }
 
     @_cached
     def event_conditionals(self, e: FiniteEvent):
@@ -495,11 +466,10 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
     if covered != set(range(1, logic.n + 1)):
         return fail("structure", "atoms not covered by any block")
 
-    events = logic.events
     orth, sums, comp = logic.tables()
     one = logic.one_event.index
     zero = logic.zero_event.index
-    positions = range(len(events))
+    positions = range(len(logic.events))
 
     # OS1 symmetry is structural (orthogonality is symmetric); verify anyway.
     for i in positions:
@@ -512,11 +482,7 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
         for j in positions:
             if orth[i][j]:
                 if sums[i][j] is None or sums[j][i] is None:
-                    try:
-                        logic.sum(events[i], events[j])
-                        logic.sum(events[j], events[i])
-                    except SumUndefinedError as exc:
-                        return fail("OS2", f"{name(i)} + {name(j)}: {exc}")
+                    return fail("OS2", f"{name(i)} + {name(j)}: sum depends on the representatives")
                 if sums[i][j] != sums[j][i]:
                     return fail("OS2", f"{name(i)} + {name(j)} not commutative")
 
@@ -684,14 +650,14 @@ def check_uc2(logic: FiniteLogic) -> CheckReport:
 
 
 def conditional_table(logic: FiniteLogic):
-    """conditionals[(event key, vertex index)] -> conditional weight vector.
+    """conditionals[(event index, vertex index)] -> conditional weight vector.
 
     Read from the cached `event_conditionals`, in event then vertex order.
     Only defined where the conditional exists uniquely; call after check_uc2
     passed.
     """
     return {
-        (e.key, vi): cond[0]
+        (e.index, vi): cond[0]
         for e in logic.events
         for vi, cond in logic.event_conditionals(e)[0].items()
         if len(cond) == 1

@@ -202,7 +202,7 @@ def _corridor_rows(rho, e, f, tol):
 
 
 def corridor_sample(mu: State, e: AlgebraElement, f: AlgebraElement, tol=1e-9) -> CorridorPoint:
-    _require_events((e,), (f, mu.density))
+    _require_events((e, f), (mu.density,))
     rows = _corridor_rows(mu.density.entries[None], e.entries[None], f.entries[None], tol)
     return CorridorPoint(*(row[0].item() for row in rows))
 
@@ -494,17 +494,17 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     With K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
     `FiniteLogic.vertex_values` and nu(f) = I_f / (K W_nu) from the integer
     `state_row` of nu, the row is p I_f / D with D = K W_v K W_nu, and S is
-    the lcm of all such D.  The row is all zeros where
-    mu_v(g) = 0 and None where the conditional is missing from
-    `conditionals`.  One depth-first walk over the position tables yields
-    the orthogonal k-tuples, k = 2 and 3, and `_alternating_subsets` their
-    signed groups g, so a tuple at a vertex is the signed sum of 2^k - 1
-    integer rows.  Only the reported maxima and witness values are
-    `Fraction(value, S)`; S is positive and shared, so the maxima and the
-    first configuration with the largest |value|, which wins, do not
-    depend on it.  Configurations whose conditionals do not exist uniquely
-    are counted in `skipped` (len(events) per tuple and vertex) instead of
-    being assigned a value.
+    the lcm of all such D.  The row is all zeros where mu_v(g) = 0 and None
+    where the conditional is missing from `conditionals`, which is keyed by
+    (event position, vertex index).  One depth-first walk over the position
+    tables yields the orthogonal k-tuples, k = 2 and 3, and
+    `_alternating_subsets` their signed groups g, so a tuple at a vertex is
+    the signed sum of 2^k - 1 integer rows.  Only the reported maxima and
+    witness values are `Fraction(value, S)`; S is positive and shared, so
+    the maxima and the first configuration with the largest |value|, which
+    wins, do not depend on it.  Configurations whose conditionals do not
+    exist uniquely are counted in `skipped` (len(events) per tuple and
+    vertex) instead of being assigned a value.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
@@ -514,10 +514,10 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
 
     zeros = [0] * len(events)
     exact = []  # exact[g][v]: (D, the row of p I_f), None where nu is missing
-    for g, row in zip(events, numerators):
+    for gi, row in enumerate(numerators):
         rows = []
         for vi, p in enumerate(row):
-            nu = conditionals.get((g.key, vi))
+            nu = conditionals.get((gi, vi))
             if p == 0:
                 rows.append((1, zeros))
             elif nu is None:

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from argparse import ArgumentParser
 from pathlib import Path
 
 import pytest
 
 from ucplab import __version__
-from ucplab.cli import main
+from ucplab.cli import build_parser, main
 from ucplab.search import classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -132,6 +133,25 @@ def test_i3_dimension_one_degenerate(capsys):
     code, out = run(capsys, "i3", "--algebra", "R", "--dim", "1", "--trials", "5")
     assert code == 0
     assert json.loads(out)["max_dense_norm"] == 0.0
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # every call shares the one parser, and a parse leaves nothing behind
+    # that changes the next call's output
+    built = []
+    original = ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    main(["search", "--max-atoms", "3"])  # the parser exists from here on
+    first = capsys.readouterr().out
+    monkeypatch.setattr(ArgumentParser, "__init__", counted)
+    assert main(["search", "--max-atoms", "3"]) == 0
+    assert capsys.readouterr().out == first
+    assert build_parser() is build_parser()
+    assert built == []
 
 
 def test_search_summary_lines(capsys):

@@ -102,6 +102,35 @@ def test_boolean_logic_structure():
     assert total == logic.one_event
 
 
+@pytest.mark.parametrize("blocks", [BOOLEAN3, PASTED, TRIANGLE, SQUARE], ids=str)
+def test_every_lookup_returns_the_event_at_its_position(blocks):
+    # an event is identified by its position: each lookup hands back the one
+    # object stored in `events`, so identity is equality within a logic
+    logic = FiniteLogic(blocks)
+    events = logic.events
+    assert [e.index for e in events] == list(range(len(events)))
+    assert logic.zero_event is events[logic.zero_event.index]
+    assert logic.one_event is events[logic.one_event.index]
+    for e in events:
+        for rep in e.reps:
+            assert logic.event_by_atoms(rep) is e
+        assert logic.complement(e) is events[logic.complement(e).index]
+        for f in events:
+            try:
+                total = logic.sum(e, f)
+            except SumUndefinedError:
+                continue
+            assert total is events[total.index]
+
+
+def test_events_of_two_logics_are_distinct():
+    # equal blocks build equal tables, but no event is shared between logics
+    first, second = FiniteLogic(BOOLEAN3), FiniteLogic(BOOLEAN3)
+    assert first.key_rows == second.key_rows
+    assert all(e != f for e, f in zip(first.events, second.events))
+    assert len({*first.events, *second.events}) == 2 * len(first.events)
+
+
 def test_boolean_logic_passes_everything():
     logic = FiniteLogic(BOOLEAN3)
     assert check_os_axioms(logic).passed
@@ -290,10 +319,11 @@ def test_position_tables_match_the_representatives(blocks):
 
 
 def test_os_check_sums_each_orthogonal_pair_at_most_once(monkeypatch):
-    # OS3 and OS6 read the position tables; a loop that asks for a sum per
-    # triple would make far more calls
+    # OS3 and OS6 read the position tables, which take one `_joins` pass per
+    # ordered pair; a loop that asks for a sum per triple would make far
+    # more calls
     calls = []
-    for name in ("sum", "_join_index"):
+    for name in ("sum", "_joins"):
         original = getattr(FiniteLogic, name)
 
         def counted(self, *args, _original=original):
@@ -306,7 +336,22 @@ def test_os_check_sums_each_orthogonal_pair_at_most_once(monkeypatch):
     made = len(calls)
     pairs = sum(logic.orthogonal(e, f) for e in logic.events for f in logic.events)
     assert pairs == 3**4  # each atom in e, in f or in neither
-    assert 0 < made <= pairs
+    assert 0 < made <= len(logic.events) ** 2
+
+
+def test_os2_names_a_sum_that_depends_on_the_representatives(monkeypatch):
+    # no block pasting tried so far reaches this branch, so break one sum
+    logic = FiniteLogic(BOOLEAN3)
+    orth, sums, comp = logic.tables()
+    e, f = sorted([logic.event_by_atoms({1}), logic.event_by_atoms({2})], key=lambda x: x.index)
+    broken = [list(row) for row in sums]
+    broken[f.index][e.index] = None
+    monkeypatch.setattr(logic, "tables", lambda: (orth, broken, comp))
+    report = check_os_axioms(logic)
+    assert (report.axiom, report.witness) == (
+        "OS2",
+        f"{e.label()} + {f.label()}: sum depends on the representatives",
+    )
 
 
 def test_sum_undefined_for_non_orthogonal():
@@ -323,23 +368,26 @@ def test_conditional_table_boolean():
     verts = logic.state_vertices()
     for vi, v in enumerate(verts):
         if logic.evaluate(v, e) > 0:
-            assert table[(e.key, vi)] == (F(1), F(0), F(0))
+            assert table[(e.index, vi)] == (F(1), F(0), F(0))
 
 
 @pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
 def test_cached_tables_match_direct_evaluation(blocks):
     logic = FiniteLogic(blocks)
     verts = logic.state_vertices()
-    values = logic.event_values()
-    assert values == {e.key: tuple(logic.evaluate(v, e) for v in verts) for e in logic.events}
+    values = logic.vertex_values()
+    _, numerators, scales = values
+    assert [[F(p, scale) for p, scale in zip(row, scales)] for row in numerators] == [
+        [logic.evaluate(v, e) for v in verts] for e in logic.events
+    ]
     cached = [logic.event_conditionals(e) for e in logic.events]
     conditionals = {
-        (e.key, vi): cond
+        (e.index, vi): cond
         for e, (by_vertex, _) in zip(logic.events, cached)
         for vi, cond in by_vertex.items()
     }
     expected = {
-        (e.key, vi): conditional_state_vertices(logic, v, e)
+        (e.index, vi): conditional_state_vertices(logic, v, e)
         for e in logic.events
         for vi, v in enumerate(verts)
         if logic.evaluate(v, e) > 0
@@ -349,7 +397,7 @@ def test_cached_tables_match_direct_evaluation(blocks):
     unique = {key: cond[0] for key, cond in expected.items() if len(cond) == 1}
     table = conditional_table(logic)
     assert table == unique and list(table) == list(unique)
-    assert logic.event_values() is values
+    assert logic.vertex_values() is values
     assert all(logic.event_conditionals(e) is c for e, c in zip(logic.events, cached))
 
 

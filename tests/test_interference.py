@@ -316,6 +316,8 @@ def test_corridor_sample_rejects_bad_input():
     e = random_projection(desc, rank=1, rng_seed=2)
     with pytest.raises(NotIdempotentError):
         corridor_sample(mu, random_element(desc, rng_seed=3), e)
+    with pytest.raises(NotIdempotentError):
+        corridor_sample(mu, e, random_element(desc, rng_seed=3))
     other = AlgebraDescriptor("C", 2)
     with pytest.raises(DescriptorMismatchError):
         corridor_sample(mu, e, random_projection(other, rank=1, rng_seed=4))
@@ -443,7 +445,7 @@ def oracle_I3_scan(logic, conditionals):
         pg = logic.evaluate(mu, g)
         if pg == 0:
             return Fraction(0)
-        nu = conditionals.get((g.key, vi))
+        nu = conditionals.get((g.index, vi))
         if nu is None:
             return missing
         return pg * logic.evaluate(nu, f)

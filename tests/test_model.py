@@ -7,9 +7,11 @@ from ucplab.interference import saturating_configuration
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
+    DescriptorMismatchError,
     NotIdempotentError,
     identity,
     is_positive,
+    random_element,
     random_projection,
     random_state_density,
 )
@@ -119,6 +121,19 @@ def test_conditioning_requires_an_event():
         conditional_state(mu, e)
     with pytest.raises(NotIdempotentError):
         conditional_probability(mu, e, identity(e.descriptor))
+
+
+def test_conditional_probability_requires_f_to_be_an_event():
+    # mu(f | e) is defined for events f; on this random C3 element it would
+    # read -0.060, a negative "probability"
+    desc = AlgebraDescriptor("C", 3)
+    mu = State.random(desc, rng_seed=1)
+    e = random_projection(desc, rank=1, rng_seed=2)
+    with pytest.raises(NotIdempotentError):
+        conditional_probability(mu, e, random_element(desc, rng_seed=3))
+    with pytest.raises(DescriptorMismatchError):
+        conditional_probability(mu, e, identity(AlgebraDescriptor("C", 2)))
+    assert conditional_probability(mu, e, identity(desc)) == pytest.approx(1.0)
 
 
 def test_orthogonality_and_complement():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ucplab import finite
+from ucplab import finite, search
 from ucplab.cli import main
 from ucplab.search import SearchConfig, classify, enumerate_logics, run_search
 
@@ -160,6 +160,24 @@ def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
     out = tmp_path / "record.json"
     assert main(["classify", "--logic", str(path), "--out", str(out)]) == 1
     assert out.read_text() == line
+
+
+@pytest.mark.parametrize("limit", ["MAX_SCAN_EVENTS", "MAX_UC2_VERTICES"])
+def test_oversized_logic_is_skipped_before_uc2(monkeypatch, tmp_path, capsys, limit):
+    # Boolean-3 has 8 events and 3 vertex states; a limit below either
+    # marks it oversized after UC1, and UC2 and the scan never run
+    monkeypatch.setattr(search, limit, 2)
+    record = classify([(1, 2, 3)])
+    assert record["os_pass"] and record["uc1_pass"]
+    assert record["skipped"] == "size"
+    assert "uc2_pass" not in record and "scan" not in record
+    _, summary = run_search(SearchConfig(max_atoms=3, max_blocks=1))
+    assert summary["enumerated"] == summary["skipped"] == 1
+    assert summary["ucp"] == 0
+    path = tmp_path / "boolean.txt"
+    path.write_text("block: 1 2 3\n")
+    assert main(["classify", "--logic", str(path)]) == 1
+    assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_classify_pasting_short_circuits_at_uc2():
