@@ -410,7 +410,11 @@ def _require_events(events, others=()) -> AlgebraDescriptor:
 
 def quadratic_map_U(e: AlgebraElement, x: AlgebraElement) -> AlgebraElement:
     """U_e x = 2 e o (e o x) - e o x; equals e x e at associative levels."""
-    desc = _require_events((e,), (x,))
+    return _compress(_require_events((e,), (x,)), e, x)
+
+
+def _compress(desc, e, x) -> AlgebraElement:
+    """U_e x for an event e of `desc` that `_require_events` has checked."""
     return AlgebraElement(desc, _from_coords(_u_dense(desc, e.entries) @ coords(x, desc), desc))
 
 

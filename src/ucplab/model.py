@@ -82,11 +82,11 @@ def complement(e: AlgebraElement) -> AlgebraElement:
 
 def conditional_probability(mu: State, e: AlgebraElement, f: AlgebraElement) -> float:
     """mu(f | e) = mu(U_e f) / mu(e) for events e and f; mu(e) must exceed DEFAULT_TOL."""
-    jordan._require_events((e, f), (mu.density,))
+    desc = jordan._require_events((e, f), (mu.density,))
     pe = evaluate(mu, e)
     if pe <= DEFAULT_TOL:
         raise ConditioningOnNullError(f"mu(e) = {pe} is not positive")
-    return evaluate(mu, quadratic_map_U(e, f)) / pe
+    return evaluate(mu, jordan._compress(desc, e, f)) / pe
 
 
 def conditional_state(mu: State, e: AlgebraElement) -> State:

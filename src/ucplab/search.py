@@ -3,12 +3,16 @@
 A logic is described by its maximal Boolean blocks over atoms 1..n.  The
 enumeration produces pastings where distinct blocks overlap in at most one
 atom (so no block contains another), one representative per atom-relabeling
-class, in a deterministic order.  The overlap rule does not keep atoms
-distinct: in [[1,2],[1,3]] atoms 2 and 3 are both the complement of atom 1,
-so the logic is a Boolean algebra with 4 events and 2 states.  Such
-collapsed pastings stay in the output.  Each logic is then pushed through
-the axiom checkers, the two unique-conditional properties and, where those
-hold everywhere, the exact interference scan.
+class, in a deterministic order.  It is an orderly generator: a
+depth-first walk over sorted block tuples that keeps only tuples that are
+their own least relabeling, which a backtracking search over partial
+relabelings decides, so no class is built twice and no loop over all n!
+relabelings runs.  The overlap rule does not keep atoms distinct: in
+[[1,2],[1,3]] atoms 2 and 3 are both the complement of atom 1, so the
+logic is a Boolean algebra with 4 events and 2 states.  Such collapsed
+pastings stay in the output.  Each logic is then pushed through the axiom
+checkers, the two unique-conditional properties and, where those hold
+everywhere, the exact interference scan.
 """
 
 from __future__ import annotations
@@ -44,13 +48,64 @@ class SearchConfig:
 def _is_least(form, n_atoms):
     """Is the sorted block tuple its own lexicographically least relabeling?
 
-    Stops at the first relabeling of the atoms that gives a smaller form.
+    Backtracks over relabelings, giving labels 1, 2, ... to one atom at a
+    time.  With labels 1..k given, a block's image is its known labels
+    followed by labels above k for its other atoms, so known + (k+1, k+2,
+    ...) is a lower bound of every completed image of that block, and the
+    sorted list of these bounds is a lower bound of every completed image
+    of the form.  A branch whose bound is >= form holds no smaller image
+    and is dropped; the form is not least once a complete labeling gives a
+    smaller image.  Atoms that lie in the same blocks are interchangeable,
+    so each step tries one atom per set of blocks.
     """
-    for perm in itertools.permutations(range(1, n_atoms + 1)):
-        image = tuple(sorted(tuple(sorted(perm[a - 1] for a in b)) for b in form))
-        if image < form:
-            return False
-    return True
+    form = list(form)
+    blocks_of = [[] for _ in range(n_atoms + 1)]
+    for i, block in enumerate(form):
+        for a in block:
+            blocks_of[a].append(i)
+    blocks_of = [tuple(where) for where in blocks_of]
+    return not _smaller_below(form, blocks_of, [[] for _ in form], [True] * (n_atoms + 1), 0)
+
+
+def _smaller_below(form, blocks_of, known, free, depth):
+    """Does some completion of the labels 1..depth give an image < form?
+
+    known[i] lists the labels given to block i's atoms, in the order given,
+    which is ascending; free[a] says atom a has no label yet (entry 0 is
+    unused, as is blocks_of[0]).
+    """
+    bound = sorted(
+        [
+            tuple(part + list(range(depth + 1, depth + 1 + len(block) - len(part))))
+            for part, block in zip(known, form)
+        ]
+    )
+    if bound >= form:
+        return False
+    if depth == len(free) - 1:
+        return True
+    label = depth + 1
+    tried = set()
+    for atom in range(1, len(free)):
+        where = blocks_of[atom]
+        if not free[atom] or where in tried:
+            continue
+        tried.add(where)
+        free[atom] = False
+        for i in where:
+            known[i].append(label)
+        found = _smaller_below(form, blocks_of, known, free, label)
+        for i in where:
+            known[i].pop()
+        free[atom] = True
+        if found:
+            return True
+    return False
+
+
+def _bits(atoms):
+    """The set of atoms as a bit mask."""
+    return sum([1 << a for a in atoms])
 
 
 def enumerate_logics(config: SearchConfig):
@@ -58,25 +113,49 @@ def enumerate_logics(config: SearchConfig):
 
     Admissible: every atom lies in some block, no two blocks share more
     than one atom, no block contains another.  Yields (n_atoms, blocks)
-    with blocks in canonical form, the least relabeling of the class.  That
-    form is itself a candidate combination, so keeping each combination
-    that is its own least relabeling keeps exactly one per class.
+    with blocks in canonical form, the least relabeling of the class.
+
+    Orderly generation (Read 1978, McKay 1998): for each n, the candidate
+    blocks are sorted in tuple order, and a depth-first walk extends a
+    block tuple only by a later candidate that shares at most one atom with
+    each chosen block, so every node is a sorted form.  A node that is not
+    its own least relabeling is dropped with everything below it; each
+    covering node with at most `max_blocks` blocks is kept.  The least form
+    of a class is a node, so this keeps exactly one form per class:
+
+    Claim.  Every prefix of a least form is least.
+    Proof.  Let F = (B1 < ... < Bk), with distinct blocks, and
+    P = (B1, ..., B(k-1)), and suppose a relabeling pi has
+    Q = sorted(pi(P)) < P, first differing at place i, Q[i] < P[i].
+    Insert X = pi(Bk) into Q to get sorted(pi(F)).  If X > Q[i], the first
+    i + 1 entries are those of Q, which are below F's.  Otherwise X lands
+    at some place j <= i with X < Q[j] <= P[j] = F[j] and the entries
+    before it equal F's.  Either way pi(F) < F.  Induction on k covers
+    shorter prefixes.
     """
     top = config.block_size_max or config.max_atoms
     results = []
     for n in range(config.block_size_min, config.max_atoms + 1):
         atoms = range(1, n + 1)
         sizes = range(config.block_size_min, min(top, n) + 1)
-        candidates = [c for s in sizes for c in itertools.combinations(atoms, s)]
-        for count in range(1, config.max_blocks + 1):
-            for combo in itertools.combinations(candidates, count):
-                if set().union(*combo) != set(atoms) or any(
-                    len(set(a) & set(b)) > 1 for a, b in itertools.combinations(combo, 2)
-                ):
+        candidates = sorted([c for s in sizes for c in itertools.combinations(atoms, s)])
+        masks = [_bits(c) for c in candidates]
+        everything = _bits(atoms)
+
+        stack = [((), [], 0, 0)]
+        while stack:
+            form, chosen, covered, start = stack.pop()
+            for j in range(start, len(candidates)):
+                mask = masks[j]
+                if any([(mask & c).bit_count() > 1 for c in chosen]):
                     continue
-                form = tuple(sorted(combo))
-                if _is_least(form, n):
-                    results.append((n, form))
+                grown = form + (candidates[j],)
+                if not _is_least(grown, n):
+                    continue
+                if covered | mask == everything:
+                    results.append((n, grown))
+                if len(grown) < config.max_blocks:
+                    stack.append((grown, [*chosen, mask], covered | mask, j + 1))
     results.sort()
     return results
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ucplab import jordan
 from ucplab.interference import saturating_configuration
 from ucplab.jordan import (
     AlgebraDescriptor,
@@ -134,6 +135,23 @@ def test_conditional_probability_requires_f_to_be_an_event():
     with pytest.raises(DescriptorMismatchError):
         conditional_probability(mu, e, identity(AlgebraDescriptor("C", 2)))
     assert conditional_probability(mu, e, identity(desc)) == pytest.approx(1.0)
+
+
+def test_conditional_probability_checks_each_event_once(monkeypatch):
+    desc = AlgebraDescriptor("C", 3)
+    mu = State.random(desc, rng_seed=1)
+    e = random_projection(desc, rank=1, rng_seed=2)
+    expected = conditional_probability(mu, e, identity(desc))
+    checked = []
+    original = jordan.is_idempotent
+
+    def counted(x, *args):
+        checked.append(x)
+        return original(x, *args)
+
+    monkeypatch.setattr(jordan, "is_idempotent", counted)
+    assert conditional_probability(mu, e, identity(desc)) == expected
+    assert len(checked) == 2  # e and f
 
 
 def test_orthogonality_and_complement():

@@ -5,6 +5,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucplab import finite, search
 from ucplab.cli import main
@@ -92,6 +94,45 @@ def test_enumerate_dedups_relabelings():
 )
 def test_enumerate_matches_canonical_form_oracle(config):
     assert enumerate_logics(config) == oracle_enumerate(config)
+
+
+# sha256 of json.dumps(enumerate_logics(config)), computed with the n! scan
+# over every relabeling, beyond the reach of the oracle above
+PINNED_ENUMERATIONS = {
+    SearchConfig(8, 4, 3, 3): (
+        13,
+        "e466d72e87a891f8c863bfa3378f40d1dafd28741a5766e1d3d57da0d918c4c7",
+    ),
+    SearchConfig(9, 4, 3, 3): (
+        19,
+        "1385d993f18aa219f5ad02f191045293b70e47190f679c8689bc8286e05d1026",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", PINNED_ENUMERATIONS, ids=str)
+def test_enumeration_is_pinned(config):
+    logics = enumerate_logics(config)
+    count, digest = PINNED_ENUMERATIONS[config]
+    assert len(logics) == count
+    assert hashlib.sha256(json.dumps(logics).encode()).hexdigest() == digest
+
+
+@st.composite
+def _block_lists(draw):
+    # sorted forms of distinct blocks; they need not cover every atom,
+    # as the prefixes the enumeration tests often do not
+    n_atoms = draw(st.integers(1, 6))
+    block = st.lists(st.integers(1, n_atoms), min_size=1, max_size=n_atoms, unique=True)
+    blocks = draw(st.lists(block.map(lambda b: tuple(sorted(b))), max_size=5, unique=True))
+    return tuple(sorted(blocks)), n_atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_lists())
+def test_least_test_matches_the_canonical_form(case):
+    form, n_atoms = case
+    assert search._is_least(form, n_atoms) == (_canonical_form(form, n_atoms) == form)
 
 
 def test_enumerate_zero_atoms_is_empty():
@@ -240,6 +281,10 @@ PINNED_JSONL = {
     # 6 classes: 1 fails OS, 4 fail UC2, 1 has unique conditionals
     "--max-atoms 7 --blocks 3 --block-size-max 3": (
         "27bcef035bcbe9b543e3a469f21597e9b8c5c82cfef8108fed1ca4bed8c1380d"
+    ),
+    # 54 classes: 32 fail OS3, 20 fail UC2-uniqueness, 2 are UCP (both Boolean)
+    "--max-atoms 10 --blocks 5 --block-size-min 3 --block-size-max 3": (
+        "5b2d8d0c160b8e998ff85364c5d125ca6c463a959460200299f287fc9c1dc33a"
     ),
 }
 
