@@ -13,18 +13,19 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 
-from . import __version__, interference, jordan
-from .jordan import AlgebraDescriptor
-from .scalars import LEVELS
+from . import __version__
 from .finite import FiniteLogic
+from .levels import LEVELS
 from .search import SearchConfig, classify, run_search
+
+# The dense modules `jordan` and `interference` import numpy, so only the
+# dense subcommands (verify, corridor, i3) import them, when they run;
+# `search` and `classify` never load numpy.
 
 
 def _add_model_flags(parser, default_trials):
@@ -37,6 +38,8 @@ def _add_model_flags(parser, default_trials):
 
 
 def _descriptor(parser, args):
+    from .jordan import AlgebraDescriptor
+
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -70,6 +73,8 @@ def _report(args, payload):
 
 
 def cmd_verify(parser, args):
+    from . import interference, jordan
+
     desc = _descriptor(parser, args)
     tol = args.tol
     checks = []
@@ -105,6 +110,8 @@ def cmd_verify(parser, args):
 
 
 def cmd_corridor(parser, args):
+    from . import interference
+
     desc = _descriptor(parser, args)
     rows = []
     trial = 0
@@ -137,17 +144,21 @@ def cmd_corridor(parser, args):
         report = _report(args, {"command": "corridor", "passed": ok, "rows": payload})
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["p", "q", "lower_ok", "upper_ok", "model", "seed", "trial"])
-        writer.writerows(
-            (r.p, r.q, r.lower_ok, r.upper_ok, model, args.seed, i) for i, r in enumerate(rows)
-        )
-        _emit(buffer.getvalue(), args.out)
+        # The bytes of `csv.writer` in its default dialect: every field is a
+        # float repr, a bool, the model name or an int, none of which needs
+        # quoting, and each row ends in \r\n.
+        lines = ["p,q,lower_ok,upper_ok,model,seed,trial\r\n"]
+        lines += [
+            f"{r.p!r},{r.q!r},{r.lower_ok},{r.upper_ok},{model},{args.seed},{i}\r\n"
+            for i, r in enumerate(rows)
+        ]
+        _emit("".join(lines), args.out)
     return 0 if ok else 1
 
 
 def cmd_i3(parser, args):
+    from . import interference
+
     desc = _descriptor(parser, args)
     worst = interference.i3_basis_norm_max(desc, args.trials, args.seed)
     ok = worst <= args.tol

@@ -21,6 +21,11 @@ identified by its position in `events` (`FiniteEvent.index`) alone:
 `FiniteLogic.tables` holds orthogonality, sums and complements by position,
 and the axiom checks, the conditional table and the scan key on positions.
 
+This module is the exact layer and imports only the standard library, so
+`search` and the `search` / `classify` commands run without numpy.  It owns
+the exact interference scan `finite_I3_scan` and the one I_k sign rule
+`_alternating_subsets`, which the dense maps of `interference` share.
+
 Text format, one block per line::
 
     # comment
@@ -661,4 +666,140 @@ def conditional_table(logic: FiniteLogic):
         for e in logic.events
         for vi, cond in logic.event_conditionals(e)[0].items()
         if len(cond) == 1
+    }
+
+
+# ---------------------------------------------------------------------------
+# exact interference scan
+# ---------------------------------------------------------------------------
+
+
+def _alternating_subsets(parts):
+    """(sign, subset) for every nonempty subset S of the k parts, largest
+    first, with sign (-1)^(k - |S|): the terms of the k-th order
+    interference I_k (Sorkin 1994), dense or exact."""
+    k = len(parts)
+    for size in range(k, 0, -1):
+        for subset in combinations(parts, size):
+            yield (-1) ** (k - size), subset
+
+
+def _sum_position(sums, parts):
+    """Position of the sum of the mutually orthogonal events at `parts`."""
+    total = parts[0]
+    for j in parts[1:]:
+        total = sums[total][j]
+        if total is None:
+            raise SumUndefinedError("sum depends on the representatives")
+    return total
+
+
+def _orthogonal_tuples(orth, sums, k, chosen=(), start=0):
+    """Depth-first walk over the k-tuples of mutually orthogonal event
+    positions, in event order with repeats, each with its signed list of
+    group-sum positions, read from the position tables of
+    `FiniteLogic.tables`.  Not a closure in `finite_I3_scan`: a recursive
+    closure is a reference cycle that keeps the tables alive."""
+    if len(chosen) == k:
+        yield chosen, [(sign, _sum_position(sums, s)) for sign, s in _alternating_subsets(chosen)]
+        return
+    # without OS3 an event orthogonal to each chosen one can still fail to
+    # be orthogonal to their sum, which the group sums need
+    joint = (_sum_position(sums, chosen),) if len(chosen) > 1 else ()
+    for j in range(start, len(orth)):
+        if all(orth[g][j] for g in (*chosen, *joint)):
+            yield from _orthogonal_tuples(orth, sums, k, chosen + (j,), j)
+
+
+def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
+    """Exact second- and third-order interference over a finite logic.
+
+    Sweeps every vertex state, every event f and every pair/triple of
+    mutually orthogonal events; each term mu(f|g) mu(g) is mu(g) nu_g(f)
+    with nu_g the unique conditional, or zero when mu(g) = 0.
+
+    The terms are tabulated once, in Python integers: terms[g][v] is the
+    row over f of mu_v(g) nu_{g,v}(f) times one common positive scale S.
+    With K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
+    `FiniteLogic.vertex_values` and nu(f) = I_f / (K W_nu) from the integer
+    `state_row` of nu, the row is p I_f / D with D = K W_v K W_nu, and S is
+    the lcm of all such D.  The row is all zeros where mu_v(g) = 0 and None
+    where the conditional is missing from `conditionals`, which is keyed by
+    (event position, vertex index).  One depth-first walk over the position
+    tables yields the orthogonal k-tuples, k = 2 and 3, and
+    `_alternating_subsets` their signed groups g, so a tuple at a vertex is
+    the signed sum of 2^k - 1 integer rows.  Only the reported maxima and
+    witness values are `Fraction(value, S)`; S is positive and shared, so
+    the maxima and the first configuration with the largest |value|, which
+    wins, do not depend on it.  Configurations whose conditionals do not
+    exist uniquely are counted in `skipped` (len(events) per tuple and
+    vertex) instead of being assigned a value.
+    """
+    if conditionals is None:
+        conditionals = conditional_table(logic)
+    verts = logic.state_vertices()
+    events = logic.events
+    _, numerators, scales = logic.vertex_values()
+
+    zeros = [0] * len(events)
+    exact = []  # exact[g][v]: (D, the row of p I_f), None where nu is missing
+    for gi, row in enumerate(numerators):
+        rows = []
+        for vi, p in enumerate(row):
+            nu = conditionals.get((gi, vi))
+            if p == 0:
+                rows.append((1, zeros))
+            elif nu is None:
+                rows.append(None)
+            else:
+                nu_row = logic.state_row(nu)
+                denominator = scales[vi] * logic.key_scale * nu_row[0]
+                rows.append((denominator, [p * _dot(k, nu_row) for k in logic.key_rows]))
+        exact.append(rows)
+    scale = math.lcm(*[term[0] for rows in exact for term in rows if term])
+    terms = [[t and [(scale // t[0]) * x for x in t[1]] for t in rows] for rows in exact]
+    signed = {1: terms, -1: [[row and [-x for x in row] for row in rows] for rows in terms]}
+
+    def scan_tuples(tuples):
+        best = 0
+        witness = None
+        skipped = 0
+        for parts, groups in tuples:
+            tables = [signed[sign][g] for sign, g in groups]
+            for vi in range(len(verts)):
+                rows = [table[vi] for table in tables]
+                if None in rows:
+                    skipped += len(events)
+                    continue
+                totals = list(map(sum, zip(*rows)))
+                sizes = list(map(abs, totals))
+                top = max(sizes)
+                if top > abs(best):
+                    fi = sizes.index(top)
+                    best = totals[fi]
+                    witness = {
+                        "events": [sorted(events[p].canonical_rep) for p in parts],
+                        "f": sorted(events[fi].canonical_rep),
+                        "state_vertex": vi,
+                        "value": str(Fraction(best, scale)),
+                    }
+        return Fraction(best, scale), witness, skipped
+
+    orth, sums, _ = logic.tables()
+    scans = []
+    for k in (2, 3):
+        tuples = list(_orthogonal_tuples(orth, sums, k))
+        scans.append((*scan_tuples(tuples), len(tuples)))
+    (max_i2, wit_i2, skip2, pairs), (max_i3, wit_i3, skip3, triples) = scans
+
+    return {
+        "max_abs_i2": max_i2,
+        "i2_witness": wit_i2,
+        "max_abs_i3": max_i3,
+        "i3_witness": wit_i3,
+        "skipped_i2": skip2,
+        "skipped_i3": skip3,
+        "pairs": pairs,
+        "triples": triples,
+        "vertex_states": len(verts),
     }

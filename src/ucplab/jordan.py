@@ -39,7 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import LEVEL_DIM, LEVELS, cd_conj, cd_mul, multiplication_table
+from .levels import LEVEL_DIM, LEVELS
+from .scalars import cd_conj, cd_mul, multiplication_table
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8

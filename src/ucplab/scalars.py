@@ -11,9 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-LEVELS = ("R", "C", "H", "O")
-LEVEL_DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
-
 
 @lru_cache(maxsize=None)
 def multiplication_table(dim: int) -> np.ndarray:

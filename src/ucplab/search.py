@@ -21,8 +21,14 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .finite import FiniteLogic, check_os_axioms, check_uc1, check_uc2, conditional_table
-from .interference import finite_I3_scan
+from .finite import (
+    FiniteLogic,
+    check_os_axioms,
+    check_uc1,
+    check_uc2,
+    conditional_table,
+    finite_I3_scan,
+)
 
 MAX_SCAN_EVENTS = 64
 MAX_UC2_VERTICES = 200

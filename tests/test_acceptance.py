@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ucplab.cli import main
-from ucplab.finite import FiniteLogic, conditional_state_vertices
+from ucplab.finite import FiniteLogic, conditional_state_vertices, finite_I3_scan
 from ucplab.interference import (
     I2_scalar,
     I3_scalar,
@@ -20,7 +20,6 @@ from ucplab.interference import (
     corridor_sample,
     corridor_samples,
     eq10_check,
-    finite_I3_scan,
     i3_basis_norm_max,
     lemma_suite,
     saturating_configuration,

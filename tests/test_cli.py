@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from ucplab import __version__
+from ucplab import __version__, interference
 from ucplab.cli import build_parser, main
+from ucplab.interference import CorridorPoint
 from ucplab.search import classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,6 +93,66 @@ def test_corridor_csv_shape(capsys):
     assert float(rows[1][0]) == 0.5 and float(rows[1][1]) == 1.0
     assert [r[4] for r in rows[1:]] == ["C2"] * 5
     assert all(r[2] == "True" and r[3] == "True" for r in rows[1:])
+
+
+def csv_oracle(rows, model, seed):
+    """The corridor CSV as `csv.writer` writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["p", "q", "lower_ok", "upper_ok", "model", "seed", "trial"])
+    writer.writerows((r.p, r.q, r.lower_ok, r.upper_ok, model, seed, i) for i, r in enumerate(rows))
+    return buffer.getvalue()
+
+
+def record_corridor_rows(monkeypatch):
+    """Wrap the corridor samplers so that the rows they hand the CLI are listed."""
+    rows = []
+
+    def recorded(original, many):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            rows.extend(result if many else [result])
+            return result
+
+        return wrapper
+
+    for name, many in (("corridor_sample", False), ("corridor_samples", True)):
+        monkeypatch.setattr(interference, name, recorded(getattr(interference, name), many))
+    return rows
+
+
+EDGE_ROWS = [
+    CorridorPoint(0.0, 0.0, True, True),
+    CorridorPoint(1e-300, 0.1 + 0.2, False, True),
+    CorridorPoint(0.1 + 0.2, 1e-300, True, False),
+    CorridorPoint(-0.0, 1.0, False, False),
+    CorridorPoint(0.5, 5e-324, True, True),
+]
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_corridor_csv_matches_csv_writer_on_edge_rows(monkeypatch, capsys, classical):
+    monkeypatch.setattr(interference, "corridor_samples", lambda *args, **kwargs: EDGE_ROWS)
+    rows = record_corridor_rows(monkeypatch)
+    flags = ["--classical"] if classical else []
+    trials = len(EDGE_ROWS) + (0 if classical else 1)
+    argv = ["corridor", "--algebra", "H", "--dim", "2", "--trials", str(trials), "--seed", "4"]
+    code, out = run(capsys, *argv, *flags)
+    assert code == 1  # some edge rows leave the corridor
+    assert rows[-len(EDGE_ROWS):] == EDGE_ROWS and len(rows) == trials
+    assert out == csv_oracle(rows, "H2", 4)
+
+
+@pytest.mark.parametrize("classical", [False, True])
+@pytest.mark.parametrize("model", ["R2", "R3", "C2", "C3", "C4", "H2", "H3", "O3"])
+def test_corridor_csv_matches_csv_writer_on_every_model(monkeypatch, tmp_path, model, classical):
+    rows = record_corridor_rows(monkeypatch)
+    out = tmp_path / "corridor.csv"
+    flags = ["--classical"] if classical else []
+    argv = ["corridor", "--algebra", model[0], "--dim", model[1:], "--trials", "2000", "--seed", "0"]
+    assert main([*argv, *flags, "--out", str(out)]) == 0
+    assert len(rows) == 2000
+    assert out.read_bytes() == csv_oracle(rows, model, 0).encode()
 
 
 def test_corridor_single_trial(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucplab.finite import FiniteLogic, conditional_table
+from ucplab.finite import FiniteLogic, conditional_table, finite_I3_scan
 from ucplab.interference import (
     I2_scalar,
     I3_scalar,
@@ -16,7 +16,6 @@ from ucplab.interference import (
     corridor_sample,
     corridor_samples,
     eq10_check,
-    finite_I3_scan,
     i3_basis_norm_max,
     lemma_suite,
     saturating_configuration,
