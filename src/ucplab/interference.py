@@ -9,7 +9,6 @@ imports from there.
 All the maps here are linear on the Hermitian elements of a matrix model:
 
   U_e x = 2 e o (e o x) - e o x        (conditionalization / compression)
-  S_e = 2 U_e + 2 U_e' - id            (its positivity gives the corridor)
   T_e = (id + U_e - U_e') / 2          (multiplication-by-e in quantum models)
   I2(e1, e2) = U_{e1+e2} - U_{e1} - U_{e2}
   I3(e1, e2, e3) = U_{e1+e2+e3} - sum of pair terms + sum of single terms
@@ -28,10 +27,11 @@ cancellation.  Every entry point that takes events checks them with
 
 The corridor needs no matrix.  With e' = 1 - e, linearity alone sums the two
 compressions in p = mu(U_e f) + mu(U_e' f) to mu(f - 4 (e o f - e o (e o f))),
-so `_corridor_rows` evaluates p with two Jordan products and no basis axis,
-for one sample and for a batch alike.  On the dyadic entries of
-`saturating_configuration` every step is exact, so that point lands on
-(1/2, 1) exactly.
+so `_corridor_rows` evaluates p directly, with two Jordan products and no
+basis axis, for one sample and for a batch alike.  The bound q <= 2p is the
+positivity of S_e = 2 U_e + 2 U_e' - id, but no code builds S_e.  On the
+dyadic entries of `saturating_configuration` every step is exact, so that
+point lands on (1/2, 1) exactly.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucplab.finite import (
     CheckReport,
@@ -293,12 +295,10 @@ def test_os_check_matches_triple_loop_oracle(blocks):
     )
 
 
-@pytest.mark.parametrize("blocks", [BOOLEAN3, PASTED, TRIANGLE, SQUARE, PENTAGON], ids=str)
-def test_position_tables_match_the_representatives(blocks):
-    # orthogonal: disjoint representatives inside one block; sum: the event
-    # with their union as a representative, unless the unions disagree;
-    # complement: the rest of a block around a representative
-    logic = FiniteLogic(blocks)
+def assert_tables_match_the_representatives(logic):
+    """orthogonal: disjoint representatives inside one block; sum: the event
+    with their union as a representative, one for all such unions;
+    complement: the rest of a block around a representative."""
     owner = {s: e for e in logic.events for s in e.reps}
     for e in logic.events:
         for f in logic.events:
@@ -309,8 +309,8 @@ def test_position_tables_match_the_representatives(blocks):
                 if not s & t and any(s | t <= set(b) for b in logic.blocks)
             }
             assert logic.orthogonal(e, f) == bool(unions)
-            if len(unions) == 1:
-                assert logic.sum(e, f) == unions.pop()
+            if unions:
+                assert unions == {logic.sum(e, f)}
             else:
                 with pytest.raises(SumUndefinedError):
                     logic.sum(e, f)
@@ -318,12 +318,46 @@ def test_position_tables_match_the_representatives(blocks):
         assert rest == {logic.complement(e)}
 
 
+@pytest.mark.parametrize("blocks", [BOOLEAN3, PASTED, TRIANGLE, SQUARE, PENTAGON], ids=str)
+def test_position_tables_match_the_representatives(blocks):
+    assert_tables_match_the_representatives(FiniteLogic(blocks))
+
+
+def _compact(blocks):
+    """The blocks with their atoms renumbered 1..k in order, so they cover."""
+    label = {a: i for i, a in enumerate(sorted({a for b in blocks for a in b}), start=1)}
+    return [tuple(label[a] for a in b) for b in blocks]
+
+
+# any block list: blocks of 1-4 distinct atoms over at most 7, overlapping
+# in any number of atoms, repeated or nested
+ANY_BLOCKS = st.lists(
+    st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True), min_size=1, max_size=4
+).map(_compact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_BLOCKS)
+def test_os_proofs_hold_on_any_block_list(blocks):
+    # check_os_axioms tests only OS3's two orthogonalities; its docstring
+    # proves the rest for every block list, and the oracle tests all six
+    logic = FiniteLogic(blocks)
+    report, expected = check_os_axioms(logic), oracle_os_axioms(logic)
+    assert (report.passed, report.axiom, report.witness) == (
+        expected.passed,
+        expected.axiom,
+        expected.witness,
+    )
+    assert report.axiom in ("", "OS3")
+    assert_tables_match_the_representatives(logic)
+
+
 def test_os_check_sums_each_orthogonal_pair_at_most_once(monkeypatch):
-    # OS3 and OS6 read the position tables, which take one `_joins` pass per
+    # OS3 reads the position tables, which take one `_joinable` test per
     # ordered pair; a loop that asks for a sum per triple would make far
     # more calls
     calls = []
-    for name in ("sum", "_joins"):
+    for name in ("sum", "_joinable"):
         original = getattr(FiniteLogic, name)
 
         def counted(self, *args, _original=original):
@@ -339,19 +373,15 @@ def test_os_check_sums_each_orthogonal_pair_at_most_once(monkeypatch):
     assert 0 < made <= len(logic.events) ** 2
 
 
-def test_os2_names_a_sum_that_depends_on_the_representatives(monkeypatch):
-    # no block pasting tried so far reaches this branch, so break one sum
+@pytest.mark.parametrize("atom", [0, -1, 4])
+def test_event_by_atoms_rejects_atoms_outside_the_logic(atom):
+    # 0 would read the constant slot c0 (the unit event), -1 the last atom's
+    # slot, and 4 would index past the row
     logic = FiniteLogic(BOOLEAN3)
-    orth, sums, comp = logic.tables()
-    e, f = sorted([logic.event_by_atoms({1}), logic.event_by_atoms({2})], key=lambda x: x.index)
-    broken = [list(row) for row in sums]
-    broken[f.index][e.index] = None
-    monkeypatch.setattr(logic, "tables", lambda: (orth, broken, comp))
-    report = check_os_axioms(logic)
-    assert (report.axiom, report.witness) == (
-        "OS2",
-        f"{e.label()} + {f.label()}: sum depends on the representatives",
-    )
+    with pytest.raises(KeyError, match="is not an event of this logic"):
+        logic.event_by_atoms({atom})
+    with pytest.raises(KeyError):
+        logic.event_by_atoms({1, atom})
 
 
 def test_sum_undefined_for_non_orthogonal():

@@ -295,3 +295,7 @@ def test_search_jsonl_digest_is_pinned(tmp_path, capsys, args):
     assert main(["search", *args.split(), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_JSONL[args]
+    # over the full state polytope every UCP logic found so far is Boolean
+    records = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
+    ucp = [r for r in records if r.get("uc2_pass")]
+    assert ucp and all(r["n_events"] == 2 ** r["n_states"] for r in ucp)
