@@ -24,7 +24,13 @@ and the axiom checks, the conditional table and the scan key on positions.
 This module is the exact layer and imports only the standard library, so
 `search` and the `search` / `classify` commands run without numpy.  It owns
 the exact interference scan `finite_I3_scan` and the one I_k sign rule
-`_alternating_subsets`, which the dense maps of `interference` share.
+`_alternating_subsets`, which the dense maps of `interference` share.  The
+scan works in state coordinates: each interference term is k_f . y for an
+integer vector y of the n + 1 coordinates of a state row, so a tuple of
+events is one signed sum of such vectors, and only a nonzero sum is dotted
+with the E event rows.  Each orthogonal pair keeps its I2 vector, and each
+triple is built from three of them by Sorkin's recursion
+I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c) (`finite_I3_scan`).
 
 Text format, one block per line::
 
@@ -311,10 +317,15 @@ class FiniteLogic:
         row key_rows[i] + key_rows[j], and b - s, for a representative s
         inside a block b, has the row of 1_b - 1_s, which is unit - key_rows[i]
         because 1_b reduces to the unit.  Both rows belong to an event, since
-        s | t and b - s lie inside a block.
+        s | t and b - s lie inside a block.  `_joinable` is symmetric in its
+        two events, so it runs once per unordered pair.
         """
         events, rows, index = self.events, self.key_rows, self._index
-        orth = [[self._joinable(e, f) for f in events] for e in events]
+        orth = [[False] * len(events) for _ in events]
+        for i, e in enumerate(events):
+            for j in range(i, len(events)):
+                if self._joinable(e, events[j]):
+                    orth[i][j] = orth[j][i] = True
         sums = [
             [index[tuple([a + b for a, b in zip(r, s)])] if o else None for o, s in zip(line, rows)]
             for line, r in zip(orth, rows)
@@ -547,12 +558,26 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
     integer key row (k0_f, k_f) = K (c0_f, c_f).  With mu_f and mu_e the
     integer numerators of the state at f and e, its right-hand side is
     (K mu_f - k0_f mu_e) / mu_e, one `Fraction` per entry.
+
+    The atoms of e' are zero at every conditional, so they are left out of
+    the solve.  e is orthogonal to e', so e is among the sub-events and
+    every conditional has nu(e) = 1.  The row of e' is unit - the row of e,
+    and nu(unit) = 1 by the block equations, so nu(e') = 0.  On a weight
+    vector that meets the block equations an event's functional is the sum
+    of the weights of any of its representatives, so every atom of every
+    representative of e' has weight 0, weights being >= 0.  The polytope is
+    therefore the one over the other atoms with those weights put back as
+    zeros, and zeros at fixed positions keep the sorted order of its
+    vertices.
     """
     subs = logic.sub_events(e)
     scale, keys = logic.key_scale, logic.key_rows
     sub_rows = [keys[f.index] for f in subs]
-    rows, rhs = logic.block_rows()
-    rows += [list(row[1:]) for row in sub_rows]
+    forced = set().union(*logic.complement(e).reps)
+    free = [a for a in range(1, logic.n + 1) if a not in forced]
+    block_rows, rhs = logic.block_rows()
+    rows = [[row[a - 1] for a in free] for row in block_rows]
+    rows += [[row[a] for a in free] for row in sub_rows]
     columns = []
     for state in states:
         pe = _dot(keys[e.index], state)
@@ -561,7 +586,16 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
         columns.append(
             rhs + [Fraction(scale * _dot(row, state) - row[0] * pe, pe) for row in sub_rows]
         )
-    return polytope_vertices(rows, columns, logic.n)
+    lists = polytope_vertices(rows, columns, len(free))
+    if not forced:
+        return lists
+    full = [ZERO] * logic.n
+    for vertices in lists:
+        for k, vertex in enumerate(vertices):
+            for a, w in zip(free, vertex):
+                full[a - 1] = w
+            vertices[k] = tuple(full)
+    return lists
 
 
 def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
@@ -672,29 +706,25 @@ def _alternating_subsets(parts):
             yield (-1) ** (k - size), subset
 
 
-def _sum_position(sums, parts):
-    """Position of the sum of the mutually orthogonal events at `parts`."""
-    total = parts[0]
-    for j in parts[1:]:
-        total = sums[total][j]
-    return total
+def _largest_entry(key_rows, x):
+    """(f, k_f . x) for the first event position f with the largest |k_f . x|."""
+    totals = [_dot(k, x) for k in key_rows]
+    sizes = list(map(abs, totals))
+    f = sizes.index(max(sizes))
+    return f, totals[f]
 
 
-def _orthogonal_tuples(orth, sums, k, chosen=(), start=0):
-    """Depth-first walk over the k-tuples of mutually orthogonal event
-    positions, in event order with repeats, each with its signed list of
-    group-sum positions, read from the position tables of
-    `FiniteLogic.tables`.  Not a closure in `finite_I3_scan`: a recursive
-    closure is a reference cycle that keeps the tables alive."""
-    if len(chosen) == k:
-        yield chosen, [(sign, _sum_position(sums, s)) for sign, s in _alternating_subsets(chosen)]
-        return
-    # without OS3 an event orthogonal to each chosen one can still fail to
-    # be orthogonal to their sum, which the group sums need
-    joint = (_sum_position(sums, chosen),) if len(chosen) > 1 else ()
-    for j in range(start, len(orth)):
-        if all(orth[g][j] for g in (*chosen, *joint)):
-            yield from _orthogonal_tuples(orth, sums, k, chosen + (j,), j)
+def _witness(events, found, scale):
+    """The witness record of a (parts, f, vertex, value) found by the scan, or None."""
+    if found is None:
+        return None
+    parts, f, vi, value = found
+    return {
+        "events": [sorted(events[p].canonical_rep) for p in parts],
+        "f": sorted(events[f].canonical_rep),
+        "state_vertex": vi,
+        "value": str(Fraction(value, scale)),
+    }
 
 
 def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
@@ -704,85 +734,137 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     mutually orthogonal events; each term mu(f|g) mu(g) is mu(g) nu_g(f)
     with nu_g the unique conditional, or zero when mu(g) = 0.
 
-    The terms are tabulated once, in Python integers: terms[g][v] is the
-    row over f of mu_v(g) nu_{g,v}(f) times one common positive scale S.
-    With K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
-    `FiniteLogic.vertex_values` and nu(f) = I_f / (K W_nu) from the integer
-    `state_row` of nu, the row is p I_f / D with D = K W_v K W_nu, and S is
-    the lcm of all such D.  The row is all zeros where mu_v(g) = 0 and None
-    where the conditional is missing from `conditionals`, which is keyed by
-    (event position, vertex index).  One depth-first walk over the position
-    tables yields the orthogonal k-tuples, k = 2 and 3, and
-    `_alternating_subsets` their signed groups g, so a tuple at a vertex is
-    the signed sum of 2^k - 1 integer rows.  Only the reported maxima and
-    witness values are `Fraction(value, S)`; S is positive and shared, so
-    the maxima and the first configuration with the largest |value|, which
-    wins, do not depend on it.  Configurations whose conditionals do not
-    exist uniquely are counted in `skipped` (len(events) per tuple and
-    vertex) instead of being assigned a value.
+    The scan works in state coordinates, in Python integers.  With
+    K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
+    `FiniteLogic.vertex_values` and nu(f) = k_f . nu_row / (K W_nu) from the
+    integer `state_row` nu_row of nu, the term is p (k_f . nu_row) / D with
+    D = K W_v K W_nu.  Times S, the lcm of all such D, it is k_f . y with
+
+        y[g][v] = (S / D) p nu_row,
+
+    an integer vector of the n + 1 state coordinates.  y is a shared zero
+    vector where mu_v(g) = 0 and None where the conditional is missing from
+    `conditionals`, which is keyed by (event position, vertex index).  So a
+    tuple at vertex v has S I_k(f) = k_f . x, with x the sum of
+    its groups' vectors y under the signs of `_alternating_subsets`.  Where
+    x = 0 every f gives 0, which cannot beat the running maximum (the
+    comparison is strict), so the E dot products are skipped.
+
+    Each orthogonal pair (a, b) stores its vector per vertex once,
+    z[a, b] = y[a + b] - y[a] - y[b], and each triple is built from three of
+    them by Sorkin's recursion I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c):
+
+        I2(a + b, c) = y[a+b+c] - y[a+b] - y[c]
+        - I2(a, c)   =          - y[a+c] + y[a] + y[c]
+        - I2(b, c)   =          - y[b+c] + y[b] + y[c]
+
+    sum to the seven terms of I3.  The walk takes c orthogonal to a + b, so
+    the pair (a + b, c) was walked too, and the three pairs' groups are
+    exactly the triple's seven, so a triple is skipped at a vertex iff one
+    of its pair vectors is None there.  A vector that sums to zero is the
+    one shared zero object, and a pair that is zero at every vertex the one
+    shared zero row, so on a UCP logic, where every z is 0, a triple costs
+    three identity tests.
+
+    The tuples are walked in event order with repeats, from the position
+    tables of `FiniteLogic.tables`: pairs i <= j, then triples i <= j <= l
+    with l orthogonal to i, j and i + j (without OS3 an event orthogonal to
+    each of two can fail to be orthogonal to their sum).  Only the reported
+    maxima and witness values are `Fraction(value, S)`; S is positive and
+    shared, so the maxima and the first configuration with the largest
+    |value|, which wins, do not depend on it.  Configurations whose
+    conditionals do not exist uniquely are counted in `skipped`
+    (len(events) per tuple and vertex) instead of being assigned a value.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
     verts = logic.state_vertices()
-    events = logic.events
+    events, key_rows = logic.events, logic.key_rows
     _, numerators, scales = logic.vertex_values()
+    width = len(events)
 
-    zeros = [0] * len(events)
-    exact = []  # exact[g][v]: (D, the row of p I_f), None where nu is missing
+    zero = [0] * (logic.n + 1)
+    exact = []  # exact[g][v]: (D, p, nu_row), zero where mu_v(g) = 0, None where nu is missing
     for gi, row in enumerate(numerators):
-        rows = []
+        terms = []
         for vi, p in enumerate(row):
             nu = conditionals.get((gi, vi))
             if p == 0:
-                rows.append((1, zeros))
+                terms.append(zero)
             elif nu is None:
-                rows.append(None)
+                terms.append(None)
             else:
                 nu_row = logic.state_row(nu)
-                denominator = scales[vi] * logic.key_scale * nu_row[0]
-                rows.append((denominator, [p * _dot(k, nu_row) for k in logic.key_rows]))
-        exact.append(rows)
-    scale = math.lcm(*[term[0] for rows in exact for term in rows if term])
-    terms = [[t and [(scale // t[0]) * x for x in t[1]] for t in rows] for rows in exact]
-    signed = {1: terms, -1: [[row and [-x for x in row] for row in rows] for rows in terms]}
-
-    def scan_tuples(tuples):
-        best = 0
-        witness = None
-        skipped = 0
-        for parts, groups in tuples:
-            tables = [signed[sign][g] for sign, g in groups]
-            for vi in range(len(verts)):
-                rows = [table[vi] for table in tables]
-                if None in rows:
-                    skipped += len(events)
-                    continue
-                totals = list(map(sum, zip(*rows)))
-                sizes = list(map(abs, totals))
-                top = max(sizes)
-                if top > abs(best):
-                    fi = sizes.index(top)
-                    best = totals[fi]
-                    witness = {
-                        "events": [sorted(events[p].canonical_rep) for p in parts],
-                        "f": sorted(events[fi].canonical_rep),
-                        "state_vertex": vi,
-                        "value": str(Fraction(best, scale)),
-                    }
-        return Fraction(best, scale), witness, skipped
+                terms.append((scales[vi] * logic.key_scale * nu_row[0], p, nu_row))
+        exact.append(terms)
+    scale = math.lcm(*[t[0] for terms in exact for t in terms if t is not None and t is not zero])
+    y = [
+        [t if t is None or t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
+        for terms in exact
+    ]
+    signed = {1: y, -1: [[t if t is None or t is zero else [-c for c in t] for t in ts] for ts in y]}
 
     orth, sums, _ = logic.tables()
-    scans = []
-    for k in (2, 3):
-        tuples = list(_orthogonal_tuples(orth, sums, k))
-        scans.append((*scan_tuples(tuples), len(tuples)))
-    (max_i2, wit_i2, skip2, pairs), (max_i3, wit_i3, skip3, triples) = scans
+    later = [[j for j in range(i, width) if line[j]] for i, line in enumerate(orth)]
+    zero_row = [zero] * len(verts)
+    z = [[None] * width for _ in range(width)]  # z[a][b]: z[a, b] at each vertex
+    best2, found2, skip2, pairs = 0, None, 0, 0
+    for i in range(width):
+        for j in later[i]:
+            pairs += 1
+            tables = [
+                signed[sign][sums[i][j] if len(subset) == 2 else subset[0]]
+                for sign, subset in _alternating_subsets((i, j))
+            ]
+            row = []
+            for vi, (a, b, c) in enumerate(zip(*tables)):
+                if a is None or b is None or c is None:
+                    skip2 += width
+                    row.append(None)
+                    continue
+                x = [*map(sum, zip(a, b, c))]
+                if not any(x):
+                    row.append(zero)
+                    continue
+                row.append(x)
+                f, value = _largest_entry(key_rows, x)
+                if abs(value) > abs(best2):
+                    best2, found2 = value, ((i, j), f, vi, value)
+            if all(x is zero for x in row):
+                row = zero_row
+            z[i][j] = z[j][i] = row
+
+    best3, found3, skip3, triples = 0, None, 0, 0
+    for i in range(width):
+        on_i, z_i = orth[i], z[i]
+        for j in later[i]:
+            s = sums[i][j]
+            on_s, z_s, z_j = orth[s], z[s], z[j]
+            for l in later[j]:
+                if not (on_i[l] and on_s[l]):
+                    continue
+                triples += 1
+                rows = z_s[l], z_i[l], z_j[l]
+                if rows[0] is zero_row and rows[1] is zero_row and rows[2] is zero_row:
+                    continue
+                for vi, (a, b, c) in enumerate(zip(*rows)):
+                    if a is None or b is None or c is None:
+                        skip3 += width
+                        continue
+                    if a is zero and b is zero and c is zero:
+                        continue
+                    x = [p - q - r for p, q, r in zip(a, b, c)]
+                    if not any(x):
+                        continue
+                    f, value = _largest_entry(key_rows, x)
+                    if abs(value) > abs(best3):
+                        best3, found3 = value, ((i, j, l), f, vi, value)
 
     return {
-        "max_abs_i2": max_i2,
-        "i2_witness": wit_i2,
-        "max_abs_i3": max_i3,
-        "i3_witness": wit_i3,
+        "max_abs_i2": Fraction(best2, scale),
+        "i2_witness": _witness(events, found2, scale),
+        "max_abs_i3": Fraction(best3, scale),
+        "i3_witness": _witness(events, found3, scale),
         "skipped_i2": skip2,
         "skipped_i3": skip3,
         "pairs": pairs,

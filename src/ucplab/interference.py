@@ -20,8 +20,10 @@ identities as sums and `@` products of these raw matrices, applied to
 coordinate columns where an identity acts on events.  `_alternating_subsets`
 is the one sign rule of I2 and I3: `_interference_dense` sums compressions
 over it, `I2_scalar` and `I3_scalar` evaluate mu on that sum applied to f,
-and `finite.finite_I3_scan` sums exact rows over it.  Each compression is built on
-its own, so the vanishing of I3 is a numerical fact and not an algebraic
+and `finite.finite_I3_scan` signs its exact pair vectors by it and builds
+each triple from three pairs by I3(a, b, c) = I2(a + b, c) - I2(a, c) -
+I2(b, c), an identity the tests check on these dense maps too.  Each
+compression is built on its own, so the vanishing of I3 is a numerical fact and not an algebraic
 cancellation.  Every entry point that takes events checks them with
 `jordan._require_events`: one model, and every event idempotent.
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucplab.finite import FiniteLogic, conditional_table, finite_I3_scan
 from ucplab.interference import (
@@ -234,6 +236,19 @@ def test_interference_dense_matches_written_out_sums(level, n):
     seven = u(a + b + c) - u(a + b) - u(b + c) - u(a + c) + u(a) + u(b) + u(c)
     assert np.abs(_interference_dense(desc, a, b) - two).max() <= 1e-12
     assert np.abs(_interference_dense(desc, a, b, c) - seven).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_interference_dense_obeys_sorkins_recursion(level, n):
+    # I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c), the identity the exact
+    # scan builds its triples from; independent nonzero projections, so each
+    # I2 term is nonzero
+    desc = AlgebraDescriptor(level, n)
+    a, b, c = (random_projection(desc, rank=1 + k % n, rng_seed=90 + k).entries for k in range(3))
+    i2 = [_interference_dense(desc, x, y) for x, y in ((a + b, c), (a, c), (b, c))]
+    assert min(np.abs(term).max() for term in i2) > 1e-3
+    recursion = i2[0] - i2[1] - i2[2]
+    assert np.abs(_interference_dense(desc, a, b, c) - recursion).max() <= 1e-12
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -551,3 +566,24 @@ def test_finite_scan_oracle_cases_reach_signed_witnesses():
     assert any(r["max_abs_i2"] < 0 for r in reports)
     assert any(r["max_abs_i3"] < 0 and r["i3_witness"]["value"].startswith("-") for r in reports)
     assert any(r["skipped_i2"] > 0 for r in reports)
+
+
+def _compact(blocks):
+    """The blocks with their atoms renumbered 1..k in order, so they cover."""
+    label = {a: i for i, a in enumerate(sorted({a for b in blocks for a in b}), start=1)}
+    return [tuple(label[a] for a in b) for b in blocks]
+
+
+# small block lists: 1-3 blocks of 1-4 distinct atoms over at most 5, with
+# overlaps, nesting and OS3 failures
+SMALL_BLOCKS = st.lists(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True), min_size=1, max_size=3
+).map(_compact)
+
+
+@settings(max_examples=12, deadline=None)
+@given(SMALL_BLOCKS)
+def test_finite_scan_matches_oracle_on_small_block_lists(blocks):
+    logic = FiniteLogic(blocks)
+    for table in (conditional_table(logic), perturbed_table(logic, 0)):
+        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
