@@ -14,9 +14,12 @@ logic scales every event functional once by K = `key_scale`, the lcm of
 its denominators, to the int row (k0, k1..kn) in `key_rows`.  A state's
 weights w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
 `state_row`, so mu(e) = (k0 W + sum_a k_a W w_a) / (K W) is one integer
-dot product.  Elimination is fraction-free (`rref`), and a `Fraction` is
-built only for a value that is reported: a vertex coordinate, an event
-value or a right-hand side handed to `polytope_vertices`.  An event is
+dot product.  Every exact state in the layer is such a row, from the
+solver (`polytope_vertices`, in lowest terms) through the conditional
+table to the scan.  Elimination is fraction-free (`rref`), and a
+`Fraction` is built only where a value is reported: the weight vectors of
+`state_vertices`, `conditional_state_vertices` and a UC2 failure, an event
+value (`evaluate`) and the scan's maxima.  An event is
 identified by its position in `events` (`FiniteEvent.index`) alone:
 `FiniteLogic.tables` holds orthogonality, sums and complements by position,
 and the axiom checks, the conditional table and the scan key on positions.
@@ -30,7 +33,8 @@ integer vector y of the n + 1 coordinates of a state row, so a tuple of
 events is one signed sum of such vectors, and only a nonzero sum is dotted
 with the E event rows.  Each orthogonal pair keeps its I2 vector, and each
 triple is built from three of them by Sorkin's recursion
-I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c) (`finite_I3_scan`).
+I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c) (`finite_I3_scan`).  It
+takes only a complete conditional table, as a logic that passes UC2 has.
 
 Text format, one block per line::
 
@@ -48,7 +52,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-ZERO = Fraction(0)
 # check_uc2 stops after this many failing (event, vertex) pairs; a search
 # record keeps no more.
 MAX_UC2_FAILURES = 5
@@ -64,20 +67,18 @@ MAX_UC2_FAILURES = 5
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(rows):
-    """Each row as a primitive integer row: times the lcm of its
-    denominators, then divided by the gcd of its entries."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*[v.denominator for v in row])
-        ints = [v.numerator * (scale // v.denominator) for v in row]
-        g = math.gcd(*ints)
-        out.append([v // g for v in ints] if g > 1 else ints)
-    return out
+def rref(rows, limit=None):
+    """Fraction-free reduced row echelon form of integer rows; returns
+    (nonzero integer rows, pivot column indices).
 
-
-def _eliminate(rows, limit=None):
-    """`rref` of rows that are already integer lists."""
+    Pivot row r is d_r > 0 times the reduced row, with 0 in the other pivot
+    columns.  Elimination replaces a row by d * row - a * pivot row and
+    divides it by the gcd of its entries, so each row stays a positive
+    multiple of the row that `Fraction` elimination would give and has the
+    same zeros.  With `limit`, pivots are taken only in the first `limit`
+    columns, so the rows past the rank are zero there but may be nonzero
+    after them.
+    """
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -104,38 +105,27 @@ def _eliminate(rows, limit=None):
     return rows[:r] + [row for row in rows[r:] if any(row)], pivots
 
 
-def rref(rows, limit=None):
-    """Fraction-free reduced row echelon form of exact (int or `Fraction`)
-    rows; returns (nonzero integer rows, pivot column indices).
-
-    Pivot row r is d_r > 0 times the reduced row, with 0 in the other pivot
-    columns.  Elimination replaces a row by d * row - a * pivot row and
-    divides it by the gcd of its entries, so each row stays a positive
-    multiple of the row that `Fraction` elimination would give and has the
-    same zeros.  With `limit`, pivots are taken only in the first `limit`
-    columns, so the rows past the rank are zero there but may be nonzero
-    after them.
-    """
-    return _eliminate(_integer_rows(rows), limit)
-
-
 def polytope_vertices(eq_rows, rhs_columns, n):
     """Vertices of {w in Q^n : w >= 0, eq_rows @ w = b}, exactly, for each
-    right-hand side b in `rhs_columns`; one sorted vertex list per column.
+    right-hand side b in `rhs_columns`; one vertex list per column.
+
+    All rows are integer, in the format of `FiniteLogic.state_row`: b is
+    given as (c, c b_1, ..., c b_m) for some c > 0, and each vertex w comes
+    back as (W, W w_1, ..., W w_n) in lowest terms, sorted by weights.
 
     Basic-solution enumeration over column supports; fine for n <= ~12.
-    [A | b_1 ... b_k] is row-reduced once with pivots only in A's n columns,
-    and a column is inconsistent iff it is nonzero in a row below the rank.
-    Each support S then takes one `_eliminate` of the integer rows
+    [A | c b for each column] is row-reduced once with pivots only in A's n
+    columns, and a column is inconsistent iff it is nonzero in a row below
+    the rank.  Each support S then takes one `rref` of the integer rows
     [A_S | the consistent columns]: S is a basis iff A_S has full rank, a
     test all columns share, and it gives a vertex of column b iff b's
-    entries are >= 0, the pivots being positive.  A vertex
-    is kept as its integer form (D, D w) in lowest terms, and one `Fraction`
-    is built per coordinate of each distinct vertex.
+    entries are >= 0, the pivots being positive.  Pivot row i then reads
+    d_i w_i = t_i / c, so with L the lcm of the d_i the vertex is
+    (L c, (L / d_i) t_i on S, 0 elsewhere) divided by its gcd.
     """
     width = len(rhs_columns)
     reduced, pivots = rref(
-        [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(eq_rows)], limit=n
+        [list(row) + [b[i + 1] for b in rhs_columns] for i, row in enumerate(eq_rows)], limit=n
     )
     rank = len(pivots)
     live = [j for j in range(width) if all(row[n + j] == 0 for row in reduced[rank:])]
@@ -144,7 +134,7 @@ def polytope_vertices(eq_rows, rhs_columns, n):
     verts = [set() for _ in range(width)]
     tails = [[row[n + j] for j in live] for row in reduced[:rank]]
     for support in combinations(range(n), rank):
-        sub, sub_pivots = _eliminate(
+        sub, sub_pivots = rref(
             [[row[c] for c in support] + tail for row, tail in zip(reduced[:rank], tails)],
             limit=rank,
         )
@@ -156,12 +146,15 @@ def polytope_vertices(eq_rows, rhs_columns, n):
                 full = [0] * n
                 for c, i, row in zip(support, range(rank), sub):
                     full[c] = row[k] * (scale // row[i])
-                g = math.gcd(scale, *full)
-                verts[j].add((scale // g, *(v // g for v in full)))
-    return [
-        sorted(tuple([Fraction(v, form[0]) if v else ZERO for v in form[1:]]) for form in forms)
-        for forms in verts
-    ]
+                first = scale * rhs_columns[j][0]
+                g = math.gcd(first, *full)
+                verts[j].add((first // g, *[v // g for v in full]))
+    lists = []
+    for forms in verts:
+        # weights compared over one common denominator sort as the weights do
+        common = math.lcm(*[form[0] for form in forms])
+        lists.append(sorted(forms, key=lambda form: [v * (common // form[0]) for v in form[1:]]))
+    return lists
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +207,11 @@ def _dot(row, state):
     return sum(map(operator.mul, row, state))
 
 
+def _weights(state):
+    """The atom weights (w_1, ..., w_n) of a state row (W, W w_1, ..., W w_n)."""
+    return tuple([Fraction(v, state[0]) for v in state[1:]])
+
+
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
@@ -234,7 +232,7 @@ class FiniteLogic:
                     raise ValueError(f"atom {a} of block {b} is outside 1..{self.n}")
         self.blocks = [tuple(sorted(set(b))) for b in self.raw_blocks]
         self._block_sets = [frozenset(b) for b in self.blocks]
-        self._basis, self._pivots = rref([[-1] + row for row in self.block_rows()[0]])
+        self._basis, self._pivots = rref([[-1] + row for row in self.block_rows()])
         self._cache = {}
         reps = {}
         for b in self.blocks:
@@ -355,7 +353,7 @@ class FiniteLogic:
         if len(weights) != self.n:
             raise ValueError(f"a state of this logic has {self.n} atom weights, not {len(weights)}")
         scale = math.lcm(*[w.denominator for w in weights])
-        return (scale, *(w.numerator * (scale // w.denominator) for w in weights))
+        return (scale, *[w.numerator * (scale // w.denominator) for w in weights])
 
     def evaluate(self, weights, e: FiniteEvent) -> Fraction:
         """mu(e) for an atom-weight state vector (1-based atoms)."""
@@ -365,26 +363,26 @@ class FiniteLogic:
     # -- states ---------------------------------------------------------------
 
     def block_rows(self):
-        rows, rhs = [], []
+        """The 0/1 atom rows of the blocks; a state has weight sum 1 on each."""
+        rows = []
         for b in self.blocks:
             row = [0] * self.n
             for a in b:
                 row[a - 1] = 1
             rows.append(row)
-            rhs.append(1)
-        return rows, rhs
+        return rows
 
     @_cached
     def state_vertices(self):
-        """Vertices of the state polytope."""
-        rows, rhs = self.block_rows()
-        return polytope_vertices(rows, [rhs], self.n)[0]
+        """Vertices of the state polytope, as atom-weight vectors."""
+        return [_weights(state) for state in self.vertex_values()[0]]
 
     @_cached
     def vertex_values(self):
-        """(state rows, numerators, scales): the vertex states as `state_row`s,
-        and mu_v(events[i]) == numerators[i][v] / scales[v]."""
-        states = [self.state_row(v) for v in self.state_vertices()]
+        """(state rows, numerators, scales): the vertices of the state
+        polytope as `state_row`s, and mu_v(events[i]) == numerators[i][v] /
+        scales[v]."""
+        states = polytope_vertices(self.block_rows(), [[1] * (len(self.blocks) + 1)], self.n)[0]
         numerators = [tuple([_dot(row, s) for s in states]) for row in self.key_rows]
         return states, numerators, [self.key_scale * s[0] for s in states]
 
@@ -394,11 +392,11 @@ class FiniteLogic:
 
         Returns ({vertex index v: conditional-state vertices of v}, the
         conditional-state vertices of the barycentre of all state vertices),
-        with an entry for every vertex state v with mu_v(e) > 0.  The
-        conditional polytopes of one event share their constraint matrix
-        and differ only in the right-hand side, so all of them come from one
-        `polytope_vertices` call.  An event that is zero at every vertex
-        makes no call and returns ({}, None).
+        with an entry for every vertex state v with mu_v(e) > 0, each vertex
+        a `state_row`.  The conditional polytopes of one event share their
+        constraint matrix and differ only in the right-hand side, so all of
+        them come from one `polytope_vertices` call.  An event that is zero
+        at every vertex makes no call and returns ({}, None).
         """
         states, numerators, _ = self.vertex_values()
         positive = [vi for vi, p in enumerate(numerators[e.index]) if p > 0]
@@ -536,7 +534,7 @@ def check_uc1(logic: FiniteLogic) -> CheckReport:
     reported.
     """
     events = logic.events
-    if len(events) > 1 and not logic.state_vertices():
+    if len(events) > 1 and not logic.vertex_values()[0]:
         return CheckReport(False, "UC1", "logic admits no states")
     # pair each event with the first event of equal values; the least such
     # pair (i, j), i < j, is the first in `combinations` order
@@ -551,13 +549,15 @@ def check_uc1(logic: FiniteLogic) -> CheckReport:
 
 
 def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
-    """Conditional-state vertex lists under e of each state, given as a
-    `FiniteLogic.state_row`, in one solve.
+    """Conditional-state vertex lists under e of each state, in one solve;
+    states and conditionals are `FiniteLogic.state_row`s.
 
     A sub-event f of e adds the equation k_f . w = K (nu(f) - c0_f) on its
     integer key row (k0_f, k_f) = K (c0_f, c_f).  With mu_f and mu_e the
     integer numerators of the state at f and e, its right-hand side is
-    (K mu_f - k0_f mu_e) / mu_e, one `Fraction` per entry.
+    (K mu_f - k0_f mu_e) / mu_e, and a block's is 1, so the column handed
+    to `polytope_vertices` is (mu_e, mu_e per block, K mu_f - k0_f mu_e per
+    sub-event).
 
     The atoms of e' are zero at every conditional, so they are left out of
     the solve.  e is orthogonal to e', so e is among the sub-events and
@@ -575,7 +575,7 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
     sub_rows = [keys[f.index] for f in subs]
     forced = set().union(*logic.complement(e).reps)
     free = [a for a in range(1, logic.n + 1) if a not in forced]
-    block_rows, rhs = logic.block_rows()
+    block_rows = logic.block_rows()
     rows = [[row[a - 1] for a in free] for row in block_rows]
     rows += [[row[a] for a in free] for row in sub_rows]
     columns = []
@@ -584,16 +584,17 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
         if pe <= 0:
             raise ValueError("conditioning needs mu(e) > 0")
         columns.append(
-            rhs + [Fraction(scale * _dot(row, state) - row[0] * pe, pe) for row in sub_rows]
+            [pe] * (len(block_rows) + 1)
+            + [scale * _dot(row, state) - row[0] * pe for row in sub_rows]
         )
     lists = polytope_vertices(rows, columns, len(free))
     if not forced:
         return lists
-    full = [ZERO] * logic.n
+    full, slots = [0] * (logic.n + 1), [0, *free]
     for vertices in lists:
         for k, vertex in enumerate(vertices):
-            for a, w in zip(free, vertex):
-                full[a - 1] = w
+            for a, w in zip(slots, vertex):
+                full[a] = w
             vertices[k] = tuple(full)
     return lists
 
@@ -602,10 +603,12 @@ def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
     """Vertices of the set of conditional states of `weights` under e.
 
     A conditional state nu must satisfy nu(f) = mu(f) / mu(e) for every
-    sub-event f of e.  Returns the exact vertex list (empty: none exists;
-    a single vertex: the conditional probability is unique).
+    sub-event f of e.  Returns the exact vertex list of atom-weight vectors
+    (empty: none exists; a single vertex: the conditional probability is
+    unique).
     """
-    return _conditional_vertex_lists(logic, e, [logic.state_row(weights)])[0]
+    (cond,) = _conditional_vertex_lists(logic, e, [logic.state_row(weights)])
+    return [_weights(row) for row in cond]
 
 
 def _uc2_detail(e, state, cond):
@@ -615,8 +618,8 @@ def _uc2_detail(e, state, cond):
         "state_vertex": state,
         "exists": len(cond) >= 1,
         "unique": unique,
-        "conditional": [str(x) for x in cond[0]] if unique else None,
-        "witnesses": [[str(x) for x in c] for c in cond[:2]] if not unique else None,
+        "conditional": [str(x) for x in _weights(cond[0])] if unique else None,
+        "witnesses": [[str(x) for x in _weights(c)] for c in cond[:2]] if not unique else None,
     }
 
 
@@ -677,7 +680,7 @@ def check_uc2(logic: FiniteLogic) -> CheckReport:
 
 
 def conditional_table(logic: FiniteLogic):
-    """conditionals[(event index, vertex index)] -> conditional weight vector.
+    """conditionals[(event index, vertex index)] -> the conditional's `state_row`.
 
     Read from the cached `event_conditionals`, in event then vertex order.
     Only defined where the conditional exists uniquely; call after check_uc2
@@ -732,23 +735,27 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
 
     Sweeps every vertex state, every event f and every pair/triple of
     mutually orthogonal events; each term mu(f|g) mu(g) is mu(g) nu_g(f)
-    with nu_g the unique conditional, or zero when mu(g) = 0.
+    with nu_g the conditional, or zero when mu(g) = 0.
+
+    `conditionals` maps (event position, vertex index) to the `state_row`
+    nu_row of the conditional, as `conditional_table` does.  It must be
+    complete, as on a UCP logic: a missing (g, v) with mu_v(g) > 0 raises
+    ValueError, since I2 and I3 are not defined without it.
 
     The scan works in state coordinates, in Python integers.  With
     K = `FiniteLogic.key_scale`, mu_v(g) = p / (K W_v) from
-    `FiniteLogic.vertex_values` and nu(f) = k_f . nu_row / (K W_nu) from the
-    integer `state_row` nu_row of nu, the term is p (k_f . nu_row) / D with
-    D = K W_v K W_nu.  Times S, the lcm of all such D, it is k_f . y with
+    `FiniteLogic.vertex_values` and nu(f) = k_f . nu_row / (K W_nu), the
+    term is p (k_f . nu_row) / D with D = K W_v K W_nu.  Times S, the lcm of
+    all such D, it is k_f . y with
 
         y[g][v] = (S / D) p nu_row,
 
-    an integer vector of the n + 1 state coordinates.  y is a shared zero
-    vector where mu_v(g) = 0 and None where the conditional is missing from
-    `conditionals`, which is keyed by (event position, vertex index).  So a
-    tuple at vertex v has S I_k(f) = k_f . x, with x the sum of
-    its groups' vectors y under the signs of `_alternating_subsets`.  Where
-    x = 0 every f gives 0, which cannot beat the running maximum (the
-    comparison is strict), so the E dot products are skipped.
+    an integer vector of the n + 1 state coordinates, and a shared zero
+    vector where mu_v(g) = 0.  So a tuple at vertex v has S I_k(f) = k_f . x,
+    with x the sum of its groups' vectors y under the signs of
+    `_alternating_subsets`.  Where x = 0 every f gives 0, which cannot beat
+    the running maximum (the comparison is strict), so the E dot products
+    are skipped.
 
     Each orthogonal pair (a, b) stores its vector per vertex once,
     z[a, b] = y[a + b] - y[a] - y[b], and each triple is built from three of
@@ -759,9 +766,7 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
         - I2(b, c)   =          - y[b+c] + y[b] + y[c]
 
     sum to the seven terms of I3.  The walk takes c orthogonal to a + b, so
-    the pair (a + b, c) was walked too, and the three pairs' groups are
-    exactly the triple's seven, so a triple is skipped at a vertex iff one
-    of its pair vectors is None there.  A vector that sums to zero is the
+    the pair (a + b, c) was walked too.  A vector that sums to zero is the
     one shared zero object, and a pair that is zero at every vertex the one
     shared zero row, so on a UCP logic, where every z is 0, a triple costs
     three identity tests.
@@ -772,43 +777,42 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
     each of two can fail to be orthogonal to their sum).  Only the reported
     maxima and witness values are `Fraction(value, S)`; S is positive and
     shared, so the maxima and the first configuration with the largest
-    |value|, which wins, do not depend on it.  Configurations whose
-    conditionals do not exist uniquely are counted in `skipped`
-    (len(events) per tuple and vertex) instead of being assigned a value.
+    |value|, which wins, do not depend on it.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
-    verts = logic.state_vertices()
     events, key_rows = logic.events, logic.key_rows
-    _, numerators, scales = logic.vertex_values()
+    states, numerators, scales = logic.vertex_values()
     width = len(events)
 
     zero = [0] * (logic.n + 1)
-    exact = []  # exact[g][v]: (D, p, nu_row), zero where mu_v(g) = 0, None where nu is missing
+    exact = []  # exact[g][v]: (D, p, nu_row), or zero where mu_v(g) = 0
     for gi, row in enumerate(numerators):
         terms = []
         for vi, p in enumerate(row):
-            nu = conditionals.get((gi, vi))
             if p == 0:
                 terms.append(zero)
-            elif nu is None:
-                terms.append(None)
-            else:
-                nu_row = logic.state_row(nu)
-                terms.append((scales[vi] * logic.key_scale * nu_row[0], p, nu_row))
+                continue
+            nu_row = conditionals.get((gi, vi))
+            if nu_row is None:
+                raise ValueError(
+                    f"no conditional under event {events[gi].label()} at vertex state {vi},"
+                    " where the event has positive probability"
+                )
+            terms.append((scales[vi] * logic.key_scale * nu_row[0], p, nu_row))
         exact.append(terms)
-    scale = math.lcm(*[t[0] for terms in exact for t in terms if t is not None and t is not zero])
+    scale = math.lcm(*[t[0] for terms in exact for t in terms if t is not zero])
     y = [
-        [t if t is None or t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
+        [t if t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
         for terms in exact
     ]
-    signed = {1: y, -1: [[t if t is None or t is zero else [-c for c in t] for t in ts] for ts in y]}
+    signed = {1: y, -1: [[t if t is zero else [-c for c in t] for t in ts] for ts in y]}
 
     orth, sums, _ = logic.tables()
     later = [[j for j in range(i, width) if line[j]] for i, line in enumerate(orth)]
-    zero_row = [zero] * len(verts)
+    zero_row = [zero] * len(states)
     z = [[None] * width for _ in range(width)]  # z[a][b]: z[a, b] at each vertex
-    best2, found2, skip2, pairs = 0, None, 0, 0
+    best2, found2, pairs = 0, None, 0
     for i in range(width):
         for j in later[i]:
             pairs += 1
@@ -818,10 +822,6 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
             ]
             row = []
             for vi, (a, b, c) in enumerate(zip(*tables)):
-                if a is None or b is None or c is None:
-                    skip2 += width
-                    row.append(None)
-                    continue
                 x = [*map(sum, zip(a, b, c))]
                 if not any(x):
                     row.append(zero)
@@ -834,7 +834,7 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
                 row = zero_row
             z[i][j] = z[j][i] = row
 
-    best3, found3, skip3, triples = 0, None, 0, 0
+    best3, found3, triples = 0, None, 0
     for i in range(width):
         on_i, z_i = orth[i], z[i]
         for j in later[i]:
@@ -848,9 +848,6 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
                 if rows[0] is zero_row and rows[1] is zero_row and rows[2] is zero_row:
                     continue
                 for vi, (a, b, c) in enumerate(zip(*rows)):
-                    if a is None or b is None or c is None:
-                        skip3 += width
-                        continue
                     if a is zero and b is zero and c is zero:
                         continue
                     x = [p - q - r for p, q, r in zip(a, b, c)]
@@ -865,9 +862,7 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
         "i2_witness": _witness(events, found2, scale),
         "max_abs_i3": Fraction(best3, scale),
         "i3_witness": _witness(events, found3, scale),
-        "skipped_i2": skip2,
-        "skipped_i3": skip3,
         "pairs": pairs,
         "triples": triples,
-        "vertex_states": len(verts),
+        "vertex_states": len(states),
     }

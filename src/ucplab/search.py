@@ -172,8 +172,11 @@ def classify(blocks, n_atoms=None) -> dict:
     Stages: state-space axioms, vertex separation (UC1), unique
     conditionals (UC2: at the vertex states, then at their barycentre),
     exact interference scan.  Oversized logics get a skip marker instead of
-    the expensive stages.  A UC2 failure keeps the failing details that
-    `check_uc2` collected, at most `finite.MAX_UC2_FAILURES` of them.
+    the expensive stages: one with more than MAX_SCAN_EVENTS events as soon
+    as it is built, before the E x E tables of the axiom checks, and one
+    with more than MAX_UC2_VERTICES vertex states after UC1.  A UC2 failure
+    keeps the failing details that `check_uc2` collected, at most
+    `finite.MAX_UC2_FAILURES` of them.
     """
     logic = FiniteLogic(blocks, n_atoms)
     record = {
@@ -181,6 +184,9 @@ def classify(blocks, n_atoms=None) -> dict:
         "n_atoms": logic.n,
         "n_events": len(logic.events),
     }
+    if len(logic.events) > MAX_SCAN_EVENTS:
+        record["skipped"] = "size"
+        return record
     os_report = check_os_axioms(logic)
     record["os_pass"] = os_report.passed
     if not os_report.passed:
@@ -192,7 +198,7 @@ def classify(blocks, n_atoms=None) -> dict:
     if not uc1.passed:
         record["failure"] = {"stage": "UC1", "witness": uc1.witness}
         return record
-    if len(logic.events) > MAX_SCAN_EVENTS or record["n_states"] > MAX_UC2_VERTICES:
+    if record["n_states"] > MAX_UC2_VERTICES:
         record["skipped"] = "size"
         return record
     uc2 = check_uc2(logic)
@@ -232,12 +238,12 @@ def run_search(config: SearchConfig, out_path=None):
         record = classify(blocks, n_atoms)
         records.append(record)
         summary["enumerated"] += 1
-        if not record["os_pass"]:
+        if record.get("skipped"):
+            summary["skipped"] += 1
+        elif not record["os_pass"]:
             summary["os_fail"] += 1
         elif not record.get("uc1_pass", False):
             summary["uc1_fail"] += 1
-        elif record.get("skipped"):
-            summary["skipped"] += 1
         elif not record.get("uc2_pass", False):
             summary["uc2_fail"] += 1
         else:

@@ -31,64 +31,84 @@ REPEATED_ATOM = [(1, 1)]
 PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]  # Wright's pentagon
 
 
+def _weights(row):
+    """The weight vector of a state row (W, W w_1, ..., W w_n)."""
+    return tuple(F(v, row[0]) for v in row[1:])
+
+
+def _state_row(weights):
+    """`FiniteLogic.state_row` of a weight vector, on the Boolean logic of its atoms."""
+    return FiniteLogic([range(1, len(weights) + 1)]).state_row(weights)
+
+
 def test_rref_exactness():
-    rows, pivots = rref([[F(2), F(4)], [F(1), F(2)]])
-    assert rows == [[F(1), F(2)]]
+    rows, pivots = rref([[2, 4], [1, 2]])
+    assert rows == [[2, 4]]
     assert pivots == [0]
 
 
 def test_polytope_vertices_simplex():
     # w1 + w2 + w3 = 1, w >= 0: the three unit vectors.
-    verts = polytope_vertices([[F(1), F(1), F(1)]], [[F(1)]], 3)[0]
-    assert verts == [
-        (F(0), F(0), F(1)),
-        (F(0), F(1), F(0)),
-        (F(1), F(0), F(0)),
-    ]
+    verts = polytope_vertices([[1, 1, 1]], [[1, 1]], 3)[0]
+    assert verts == [(1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    assert verts == [_state_row(_weights(v)) for v in verts]
 
 
 def test_polytope_vertices_inconsistent_system_is_empty():
-    assert polytope_vertices([[F(1), F(1)], [F(1), F(1)]], [[F(1), F(2)]], 2)[0] == []
+    assert polytope_vertices([[1, 1], [1, 1]], [[1, 1, 2]], 2)[0] == []
 
 
 def test_polytope_vertices_negative_only_solution_is_empty():
     # w1 + w2 = 1 and w1 = 2 force w2 = -1.
-    assert polytope_vertices([[F(1), F(1)], [F(1), F(0)]], [[F(1), F(2)]], 2)[0] == []
+    assert polytope_vertices([[1, 1], [1, 0]], [[1, 1, 2]], 2)[0] == []
 
 
 def test_polytope_vertices_rank_zero_is_the_origin():
-    origin = [(F(0), F(0), F(0))]
-    assert polytope_vertices([], [[]], 3)[0] == origin
-    assert polytope_vertices([[F(0), F(0), F(0)]], [[F(0)]], 3)[0] == origin
+    origin = [(1, 0, 0, 0)]
+    assert polytope_vertices([], [[1]], 3)[0] == origin
+    assert polytope_vertices([[0, 0, 0]], [[1, 0]], 3)[0] == origin
+    assert polytope_vertices([[0, 0, 0]], [[5, 0]], 3)[0] == origin
 
 
 def test_polytope_vertices_degenerate_vertex_once_and_sorted():
     # w1 + w2 = 1, w1 + w3 = 1: supports {1, 2} and {1, 3} both give
     # (1, 0, 0) and are tried before {2, 3}, which gives (0, 1, 1).
-    verts = polytope_vertices([[F(1), F(1), F(0)], [F(1), F(0), F(1)]], [[F(1), F(1)]], 3)[0]
-    assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(0))]
+    verts = polytope_vertices([[1, 1, 0], [1, 0, 1]], [[1, 1, 1]], 3)[0]
+    assert verts == [(1, 0, 1, 1), (1, 1, 0, 0)]
+    # the order is by weights, not by rows: w1 + 2 w2 = 1 has (0, 1/2) first
+    assert polytope_vertices([[1, 2]], [[1, 1]], 2)[0] == [(2, 0, 1), (1, 1, 0)]
 
 
 def test_polytope_vertices_solves_many_columns_at_once():
-    # the one-column cases above as right-hand sides of one matrix:
+    # the one-column cases above as right-hand sides (c, c b) of one matrix:
     # degenerate, inconsistent, negative-only and zero (rank 2, so not the
-    # origin here)
-    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)]]
-    columns = [[F(1), F(1)], [F(1), F(2)], [F(-1), F(1)], [F(0), F(0)], [F(2), F(3)]]
+    # origin here), and b = (2/3, 1) given with c = 3
+    rows = [[1, 1, 0], [1, 0, 1]]
+    columns = [[1, 1, 1], [1, 1, 2], [1, -1, 1], [1, 0, 0], [1, 2, 3], [3, 2, 3]]
     together = polytope_vertices(rows, columns, 3)
     assert together == [polytope_vertices(rows, [b], 3)[0] for b in columns]
-    assert together[0] == [(F(0), F(1), F(1)), (F(1), F(0), F(0))]
-    assert together[2] == [] and together[3] == [(F(0), F(0), F(0))]
+    assert together[0] == [(1, 0, 1, 1), (1, 1, 0, 0)]
+    assert together[2] == [] and together[3] == [(1, 0, 0, 0)]
+    # b = (2/3, 1): w = (0, 2/3, 1) or (2/3, 0, 1/3), both in lowest terms
+    assert together[5] == [(3, 0, 2, 3), (3, 2, 0, 1)]
+    assert [[_weights(v) for v in vs] for vs in together[5:]] == [
+        [(F(0), F(2, 3), F(1)), (F(2, 3), F(0), F(1, 3))]
+    ]
+    # every vertex row is the state row of its weights, sorted by weights
+    for vertices in together:
+        weights = [_weights(v) for v in vertices]
+        assert weights == sorted(weights)
+        assert vertices == [_state_row(w) for w in weights]
     # an inconsistent column next to consistent ones of the same matrix
-    rows = [[F(1), F(1)], [F(1), F(1)]]
-    columns = [[F(1), F(2)], [F(1), F(1)], [F(2), F(2)]]
+    rows = [[1, 1], [1, 1]]
+    columns = [[1, 1, 2], [1, 1, 1], [1, 2, 2]]
     assert polytope_vertices(rows, columns, 2) == [
         [],
-        [(F(0), F(1)), (F(1), F(0))],
-        [(F(0), F(2)), (F(2), F(0))],
+        [(1, 0, 1), (1, 1, 0)],
+        [(1, 0, 2), (1, 2, 0)],
     ]
     # rank zero: every column is the origin
-    assert polytope_vertices([], [[], []], 3) == [[(F(0), F(0), F(0))]] * 2
+    assert polytope_vertices([], [[1], [2]], 3) == [[(1, 0, 0, 0)]] * 2
 
 
 def test_boolean_logic_structure():
@@ -398,7 +418,7 @@ def test_conditional_table_boolean():
     verts = logic.state_vertices()
     for vi, v in enumerate(verts):
         if logic.evaluate(v, e) > 0:
-            assert table[(e.index, vi)] == (F(1), F(0), F(0))
+            assert table[(e.index, vi)] == (1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
@@ -417,7 +437,7 @@ def test_cached_tables_match_direct_evaluation(blocks):
         for vi, cond in by_vertex.items()
     }
     expected = {
-        (e.index, vi): conditional_state_vertices(logic, v, e)
+        (e.index, vi): [logic.state_row(w) for w in conditional_state_vertices(logic, v, e)]
         for e in logic.events
         for vi, v in enumerate(verts)
         if logic.evaluate(v, e) > 0
@@ -463,7 +483,7 @@ def test_uc2_interior_stage_is_reported_after_every_vertex_passes(monkeypatch):
     logic = FiniteLogic(BOOLEAN3)
     solve = logic.event_conditionals
     e = logic.event_by_atoms({1, 2})
-    second = (F(0), F(0), F(1))
+    second = (1, 0, 0, 1)
 
     def split_barycentre(f):
         at_vertices, at_barycentre = solve(f)

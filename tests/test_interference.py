@@ -1,6 +1,7 @@
 """Interference operators, corridor bounds and the identity batteries."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -419,14 +420,13 @@ def test_finite_scan_boolean_exact_zero():
     report = finite_I3_scan(FiniteLogic([(1, 2, 3)]))
     assert report["max_abs_i2"] == Fraction(0)
     assert report["max_abs_i3"] == Fraction(0)
-    assert report["skipped_i2"] == 0 and report["skipped_i3"] == 0
     assert (report["pairs"], report["triples"]) == (14, 15)
 
 
 def test_finite_scan_frees_the_logic_without_the_cycle_collector():
     # a reference cycle from the scan would keep the logic and its exact
     # tables alive until the next collection, across a whole search
-    logic = FiniteLogic([(1, 2, 3), (3, 4, 5)])
+    logic = FiniteLogic([(1, 2, 3, 4)])
     gc.disable()
     try:
         finite_I3_scan(logic)
@@ -438,50 +438,44 @@ def test_finite_scan_frees_the_logic_without_the_cycle_collector():
 
 
 def test_finite_scan_pasted_regression():
-    # regression fixture: UC2-uniqueness fails on this logic, so the scan
-    # skips configurations whose conditionals are not unique and reports
-    # exact zeros on all computable ones.
-    report = finite_I3_scan(FiniteLogic([(1, 2, 3), (3, 4, 5)]))
-    assert report["max_abs_i2"] == Fraction(0)
-    assert report["max_abs_i3"] == Fraction(0)
-    assert (report["pairs"], report["triples"]) == (23, 25)
-    assert (report["skipped_i2"], report["skipped_i3"]) == (576, 672)
-    assert report["vertex_states"] == 5
+    # UC2-uniqueness fails on this logic, so its table lacks the
+    # conditionals that are not unique, and I2 and I3 are not defined there:
+    # the scan refuses the table instead of reporting over what is left
+    with pytest.raises(ValueError, match=r"no conditional under event \{1\} at vertex state 3"):
+        finite_I3_scan(FiniteLogic([(1, 2, 3), (3, 4, 5)]))
+
+
+def test_finite_scan_rejects_a_table_with_a_missing_conditional():
+    logic = FiniteLogic([(1, 2, 3)])
+    table = conditional_table(logic)
+    for gi, vi in table:
+        incomplete = {key: row for key, row in table.items() if key != (gi, vi)}
+        label = re.escape(logic.events[gi].label())
+        with pytest.raises(ValueError, match=rf"under event {label} at vertex state {vi},"):
+            finite_I3_scan(logic, incomplete)
 
 
 def oracle_I3_scan(logic, conditionals):
     """The scan as nested loops over Fraction values: re-evaluates every term."""
     verts = logic.state_vertices()
     events = logic.events
-    missing = object()
 
     def term(g, vi, mu, f):
         pg = logic.evaluate(mu, g)
         if pg == 0:
             return Fraction(0)
-        nu = conditionals.get((g.index, vi))
-        if nu is None:
-            return missing
-        return pg * logic.evaluate(nu, f)
+        nu = conditionals[(g.index, vi)]  # a state row (W, W w_1, ..., W w_n)
+        return pg * logic.evaluate([Fraction(v, nu[0]) for v in nu[1:]], f)
 
     def scan_tuples(tuples):
         best = Fraction(0)
         witness = None
-        skipped = 0
         for parts, groups in tuples:
             for vi, mu in enumerate(verts):
                 for f in events:
                     total = Fraction(0)
-                    bad = False
                     for sign, g in groups:
-                        val = term(g, vi, mu, f)
-                        if val is missing:
-                            bad = True
-                            break
-                        total += sign * val
-                    if bad:
-                        skipped += 1
-                        continue
+                        total += sign * term(g, vi, mu, f)
                     if abs(total) > abs(best):
                         best = total
                         witness = {
@@ -490,7 +484,7 @@ def oracle_I3_scan(logic, conditionals):
                             "state_vertex": vi,
                             "value": str(total),
                         }
-        return best, witness, skipped
+        return best, witness
 
     pair_tuples = []
     for i, e1 in enumerate(events):
@@ -518,15 +512,13 @@ def oracle_I3_scan(logic, conditionals):
                     (1, e3),
                 ]
                 triple_tuples.append(((e1, e2, e3), groups))
-    max_i2, wit_i2, skip2 = scan_tuples(pair_tuples)
-    max_i3, wit_i3, skip3 = scan_tuples(triple_tuples)
+    max_i2, wit_i2 = scan_tuples(pair_tuples)
+    max_i3, wit_i3 = scan_tuples(triple_tuples)
     return {
         "max_abs_i2": max_i2,
         "i2_witness": wit_i2,
         "max_abs_i3": max_i3,
         "i3_witness": wit_i3,
-        "skipped_i2": skip2,
-        "skipped_i3": skip3,
         "pairs": len(pair_tuples),
         "triples": len(triple_tuples),
         "vertex_states": len(verts),
@@ -534,11 +526,24 @@ def oracle_I3_scan(logic, conditionals):
 
 
 def perturbed_table(logic, seed):
-    """Every key of the real table sent to a random vertex state; every 7th key dropped."""
+    """A complete table: every (g, v) with mu_v(g) > 0 sent to a random vertex state row."""
     rng = np.random.default_rng(seed)
-    verts = logic.state_vertices()
-    keys = list(conditional_table(logic))
-    return {key: verts[rng.integers(len(verts))] for i, key in enumerate(keys) if i % 7 != 6}
+    states, numerators, _ = logic.vertex_values()
+    return {
+        (gi, vi): states[rng.integers(len(states))]
+        for gi, row in enumerate(numerators)
+        for vi, p in enumerate(row)
+        if p > 0
+    }
+
+
+def assert_scan_matches_oracle(logic, table):
+    """The scan equals the oracle on a complete table and refuses an incomplete one."""
+    if table.keys() == perturbed_table(logic, 0).keys():
+        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
+    else:
+        with pytest.raises(ValueError, match="no conditional under event"):
+            finite_I3_scan(logic, table)
 
 
 ORACLE_LOGICS = {
@@ -555,7 +560,7 @@ def test_finite_scan_matches_oracle(name):
     logic = FiniteLogic(ORACLE_LOGICS[name])
     tables = [conditional_table(logic)] + [perturbed_table(logic, seed) for seed in range(2)]
     for table in tables:
-        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
+        assert_scan_matches_oracle(logic, table)
 
 
 def test_finite_scan_oracle_cases_reach_signed_witnesses():
@@ -565,7 +570,6 @@ def test_finite_scan_oracle_cases_reach_signed_witnesses():
     reports = [finite_I3_scan(logic, perturbed_table(logic, seed)) for seed in range(2)]
     assert any(r["max_abs_i2"] < 0 for r in reports)
     assert any(r["max_abs_i3"] < 0 and r["i3_witness"]["value"].startswith("-") for r in reports)
-    assert any(r["skipped_i2"] > 0 for r in reports)
 
 
 def _compact(blocks):
@@ -586,4 +590,4 @@ SMALL_BLOCKS = st.lists(
 def test_finite_scan_matches_oracle_on_small_block_lists(blocks):
     logic = FiniteLogic(blocks)
     for table in (conditional_table(logic), perturbed_table(logic, 0)):
-        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
+        assert_scan_matches_oracle(logic, table)

@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucplab import finite, search
-from ucplab.cli import main
+from ucplab.cli import build_parser, main
 from ucplab.search import SearchConfig, classify, enumerate_logics, run_search
 
 
@@ -205,13 +206,17 @@ def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
 
 @pytest.mark.parametrize("limit", ["MAX_SCAN_EVENTS", "MAX_UC2_VERTICES"])
 def test_oversized_logic_is_skipped_before_uc2(monkeypatch, tmp_path, capsys, limit):
-    # Boolean-3 has 8 events and 3 vertex states; a limit below either
-    # marks it oversized after UC1, and UC2 and the scan never run
+    # Boolean-3 has 8 events and 3 vertex states; a limit below the event
+    # count marks it oversized as soon as it is built, one below the vertex
+    # count after UC1, and UC2 and the scan never run
     monkeypatch.setattr(search, limit, 2)
     record = classify([(1, 2, 3)])
-    assert record["os_pass"] and record["uc1_pass"]
-    assert record["skipped"] == "size"
-    assert "uc2_pass" not in record and "scan" not in record
+    if limit == "MAX_SCAN_EVENTS":
+        assert record == {"blocks": [[1, 2, 3]], "n_atoms": 3, "n_events": 8, "skipped": "size"}
+    else:
+        assert record["os_pass"] and record["uc1_pass"]
+        assert record["skipped"] == "size"
+        assert "uc2_pass" not in record and "scan" not in record
     _, summary = run_search(SearchConfig(max_atoms=3, max_blocks=1))
     assert summary["enumerated"] == summary["skipped"] == 1
     assert summary["ucp"] == 0
@@ -219,6 +224,22 @@ def test_oversized_logic_is_skipped_before_uc2(monkeypatch, tmp_path, capsys, li
     path.write_text("block: 1 2 3\n")
     assert main(["classify", "--logic", str(path)]) == 1
     assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_too_many_events_are_skipped_before_the_event_tables(monkeypatch):
+    # one 12-atom block has 4096 events; its E x E tables would take
+    # 16.8 million entries, so the size check must come before them
+    def tables(self):
+        raise AssertionError("tables() built for an oversized logic")
+
+    monkeypatch.setattr(finite.FiniteLogic, "tables", tables)
+    record = classify([tuple(range(1, 13))])
+    assert record == {
+        "blocks": [list(range(1, 13))],
+        "n_atoms": 12,
+        "n_events": 4096,
+        "skipped": "size",
+    }
 
 
 def test_classify_pasting_short_circuits_at_uc2():
@@ -287,6 +308,33 @@ PINNED_JSONL = {
         "5b2d8d0c160b8e998ff85364c5d125ca6c463a959460200299f287fc9c1dc33a"
     ),
 }
+
+
+def _weights(row):
+    """The weight vector of a state row (W, W w_1, ..., W w_n)."""
+    return tuple(Fraction(v, row[0]) for v in row[1:])
+
+
+@pytest.mark.parametrize("args", PINNED_JSONL)
+def test_solver_rows_are_the_state_rows_of_their_weights(args):
+    # the exact layer keeps every state as an integer row; each must be the
+    # `state_row` of its weights, so in lowest terms.  Conditionals are
+    # checked below 10 atoms, where all of them take 3 s.
+    parsed = build_parser().parse_args(["search", *args.split()])
+    config = SearchConfig(
+        parsed.max_atoms, parsed.blocks, parsed.block_size_min, parsed.block_size_max
+    )
+    for n_atoms, blocks in enumerate_logics(config):
+        logic = finite.FiniteLogic(blocks, n_atoms)
+        states = logic.vertex_values()[0]
+        assert [_weights(row) for row in states] == logic.state_vertices()
+        assert states == [logic.state_row(w) for w in logic.state_vertices()]
+        if n_atoms >= 10:
+            continue
+        for e in logic.events:
+            at_vertices, at_barycentre = logic.event_conditionals(e)
+            for cond in [*at_vertices.values(), at_barycentre or []]:
+                assert cond == [logic.state_row(_weights(row)) for row in cond]
 
 
 @pytest.mark.parametrize("args", PINNED_JSONL)
