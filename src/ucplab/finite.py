@@ -19,10 +19,10 @@ solver (`polytope_vertices`, in lowest terms) through the conditional
 table to the scan.  Elimination is fraction-free (`rref`), and a
 `Fraction` is built only where a value is reported: the weight vectors of
 `state_vertices`, `conditional_state_vertices` and a UC2 failure, an event
-value (`evaluate`) and the scan's maxima.  An event is
-identified by its position in `events` (`FiniteEvent.index`) alone:
-`FiniteLogic.tables` holds orthogonality, sums and complements by position,
-and the axiom checks, the conditional table and the scan key on positions.
+value (`evaluate`) and the scan's maxima.  An event is identified by its
+position in `events` alone: `FiniteLogic.tables` fills orthogonality, sums
+and complements by position from one walk over the block subsets, and the
+axiom checks, the conditional table and the scan key on positions.
 
 This module is the exact layer and imports only the standard library, so
 `search` and the `search` / `classify` commands run without numpy.  It owns
@@ -164,20 +164,16 @@ def polytope_vertices(eq_rows, rhs_columns, n):
 
 @dataclass(frozen=True, eq=False)
 class FiniteEvent:
-    """An event of one logic: its atom-set representatives and its position
-    in `events`, its only identity.  Lookups return that one object, so
-    events compare and hash by identity; the functional is `key_rows[index]`."""
+    """An event of one logic: its position in `events`, its only identity,
+    and its name, the representative with the fewest atoms and then the
+    least sorted tuple.  Lookups return that one object, so events compare
+    and hash by identity; the functional is `key_rows[index]`."""
 
-    reps: frozenset  # frozensets of atoms, each inside some block
+    atoms: tuple  # the least representative, sorted
     index: int  # position in the logic's `events`
 
-    @property
-    def canonical_rep(self):
-        return min(self.reps, key=lambda s: (len(s), tuple(sorted(s))))
-
     def label(self) -> str:
-        rep = sorted(self.canonical_rep)
-        return "{" + ",".join(map(str, rep)) + "}"
+        return "{" + ",".join(map(str, self.atoms)) + "}"
 
 
 class SumUndefinedError(ValueError):
@@ -212,10 +208,15 @@ def _weights(state):
     return tuple([Fraction(v, state[0]) for v in state[1:]])
 
 
+def _subsets(atoms):
+    """Every subset of `atoms` as a tuple, by size; sorted atoms give sorted tuples."""
+    return [sub for r in range(len(atoms) + 1) for sub in combinations(atoms, r)]
+
+
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
-    The events and their integer `key_rows` are built with the logic.
+    The events, their integer `key_rows` and `_event_of` are built with the logic.
     Every other exact quantity (the position tables of orthogonality, sums
     and complements, state vertices, the vertex-value and conditional
     tables) comes from a `_cached` method: it is computed on first use and
@@ -231,24 +232,27 @@ class FiniteLogic:
                 if not 1 <= a <= self.n:
                     raise ValueError(f"atom {a} of block {b} is outside 1..{self.n}")
         self.blocks = [tuple(sorted(set(b))) for b in self.raw_blocks]
-        self._block_sets = [frozenset(b) for b in self.blocks]
         self._basis, self._pivots = rref([[-1] + row for row in self.block_rows()])
         self._cache = {}
-        reps = {}
+        forms = {}
         for b in self.blocks:
-            for r in range(len(b) + 1):
-                for sub in combinations(b, r):
-                    atom_set = frozenset(sub)
-                    reps.setdefault(self._form(atom_set), set()).add(atom_set)
+            for sub in _subsets(b):
+                if sub not in forms:
+                    forms[sub] = self._form(sub)
         # K, the lcm of the functionals' denominators, scales each to a row
         # of ints; the events are numbered in the sorted order of those rows
-        self.key_scale = math.lcm(*[form[0] for form in reps])
+        distinct = set(forms.values())
+        self.key_scale = math.lcm(*[form[0] for form in distinct])
         scaled = sorted(
-            (tuple([v * (self.key_scale // form[0]) for v in form[1:]]), form) for form in reps
+            (tuple([v * (self.key_scale // form[0]) for v in form[1:]]), form) for form in distinct
         )
         self.key_rows = [row for row, _ in scaled]
-        self.events = [FiniteEvent(frozenset(reps[form]), i) for i, (_, form) in enumerate(scaled)]
-        self._index = {row: i for i, row in enumerate(self.key_rows)}
+        position = {form: i for i, (_, form) in enumerate(scaled)}
+        self._event_of = {frozenset(sub): position[form] for sub, form in forms.items()}
+        least = {}  # each event's representative with the fewest atoms, then the least tuple
+        for sub in sorted(forms, key=lambda sub: (len(sub), sub)):
+            least.setdefault(position[forms[sub]], sub)
+        self.events = [FiniteEvent(least[i], i) for i in range(len(scaled))]
 
     # -- construction helpers ------------------------------------------------
 
@@ -265,7 +269,6 @@ class FiniteLogic:
         g = math.gcd(scale, *vec)
         return (scale // g, *(v // g for v in vec))
 
-    @_cached
     def _form(self, atom_set):
         vec = [0] * (self.n + 1)
         for a in atom_set:
@@ -274,62 +277,49 @@ class FiniteLogic:
 
     # -- basic structure -------------------------------------------------------
 
-    def _lookup(self, form):
-        """Position of the event with the integer form `form`, or None."""
-        scale, rest = divmod(self.key_scale, form[0])
-        return None if rest else self._index.get(tuple([v * scale for v in form[1:]]))
-
     @property
     def zero_event(self) -> FiniteEvent:
-        return self.events[self._index[(0,) * (self.n + 1)]]
+        return self.events[self._event_of[frozenset()]]
 
     @property
     def one_event(self) -> FiniteEvent:
-        i = self._lookup(self._reduce([1] + [0] * self.n))
-        if i is None:
+        """The event of every whole block, since 1_b reduces to the unit."""
+        if not self.blocks:
             raise SumUndefinedError("logic has no unit event (no blocks?)")
-        return self.events[i]
+        return self.events[self._event_of[frozenset(self.blocks[0])]]
 
     def event_by_atoms(self, atoms) -> FiniteEvent:
-        atoms = frozenset(atoms)
-        i = self._lookup(self._form(atoms)) if all(1 <= a <= self.n for a in atoms) else None
+        """The event that `atoms`, a subset of some block, represents (`_event_of`)."""
+        i = self._event_of.get(frozenset(atoms))
         if i is None:
             raise KeyError(f"{sorted(atoms)} is not an event of this logic")
         return self.events[i]
 
-    def _joinable(self, e, f):
-        """Do some disjoint representatives of e and f fit in one block?"""
-        return any(
-            not s & t and any(s | t <= b for b in self._block_sets) for s in e.reps for t in f.reps
-        )
-
     @_cached
     def tables(self):
-        """(orth, sums, comp), indexed by position in `events`.
+        """(orth, sums, comp), indexed by position in `events`, from one walk
+        over the pairs of disjoint subsets s and t of each block b: events i
+        of s and j of t are orthogonal, sums[i][j] is the event of s | t (None
+        where no such s and t exist) and comp[i] the event of b - s.
 
-        orth[i][j] says whether events i and j are orthogonal (`_joinable`),
-        sums[i][j] is the position of their sum (None where they are not
-        orthogonal) and comp[i] the position of the complement of event i.
-        The sum and the complement are row arithmetic: the key row is linear
-        in the atom set, so a join s | t of disjoint representatives has the
-        row key_rows[i] + key_rows[j], and b - s, for a representative s
-        inside a block b, has the row of 1_b - 1_s, which is unit - key_rows[i]
-        because 1_b reduces to the unit.  Both rows belong to an event, since
-        s | t and b - s lie inside a block.  `_joinable` is symmetric in its
-        two events, so it runs once per unordered pair.
+        Neither depends on which s, t or b the walk meets, because the key row
+        is linear in the atom set: s | t has the row key_rows[i] + key_rows[j],
+        and b - s the row of 1_b - 1_s, which is unit - key_rows[i] because
+        1_b reduces to the unit, and distinct events have distinct rows.
         """
-        events, rows, index = self.events, self.key_rows, self._index
-        orth = [[False] * len(events) for _ in events]
-        for i, e in enumerate(events):
-            for j in range(i, len(events)):
-                if self._joinable(e, events[j]):
-                    orth[i][j] = orth[j][i] = True
-        sums = [
-            [index[tuple([a + b for a, b in zip(r, s)])] if o else None for o, s in zip(line, rows)]
-            for line, r in zip(orth, rows)
-        ]
-        unit = rows[self.one_event.index]
-        return orth, sums, [index[tuple([u - a for u, a in zip(unit, row)])] for row in rows]
+        width, event_of = len(self.events), self._event_of
+        orth = [[False] * width for _ in range(width)]
+        sums = [[None] * width for _ in range(width)]
+        comp = [None] * width
+        for b in self.blocks:
+            for s in map(frozenset, _subsets(b)):
+                i, rest = event_of[s], frozenset(b) - s
+                comp[i] = event_of[rest]
+                for t in map(frozenset, _subsets(rest)):
+                    j = event_of[t]
+                    orth[i][j] = True
+                    sums[i][j] = event_of[s | t]
+        return orth, sums, comp
 
     def complement(self, e: FiniteEvent) -> FiniteEvent:
         return self.events[self.tables()[2][e.index]]
@@ -355,9 +345,21 @@ class FiniteLogic:
         scale = math.lcm(*[w.denominator for w in weights])
         return (scale, *[w.numerator * (scale // w.denominator) for w in weights])
 
+    def _checked_state_row(self, weights):
+        """`state_row`, a format conversion of any weights, of weights that are
+        a state: none negative and each block's summing to 1; else ValueError."""
+        state = self.state_row(weights)
+        for a, w in enumerate(weights, start=1):
+            if w < 0:
+                raise ValueError(f"not a state: atom {a} has weight {w} < 0")
+        for b in self.blocks:
+            if sum([state[a] for a in b]) != state[0]:
+                raise ValueError(f"not a state: the weights of block {b} do not sum to 1")
+        return state
+
     def evaluate(self, weights, e: FiniteEvent) -> Fraction:
         """mu(e) for an atom-weight state vector (1-based atoms)."""
-        state = self.state_row(weights)
+        state = self._checked_state_row(weights)
         return Fraction(_dot(self.key_rows[e.index], state), self.key_scale * state[0])
 
     # -- states ---------------------------------------------------------------
@@ -467,14 +469,14 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
     however they overlap or nest.  Write r(e) for the key row of event e.
     Distinct events have distinct rows.  The row of an atom set is linear
     in it, so r(s | t) = r(s) + r(t) for disjoint s and t, and r(b) = r(1)
-    for every block b, because 1_b reduces to the unit.  Events e and f
-    are orthogonal iff some representatives s of e and t of f are disjoint
-    with s | t inside a block.
+    for every block b, because 1_b reduces to the unit.  `tables` walks the
+    disjoint subsets s and t of each block b: e and f are orthogonal iff it
+    meets representatives of them, e + f is the event of s | t, e' of b - s.
 
-    OS1, symmetry: that test is symmetric in s and t.
+    OS1, symmetry: the walk visits (s, t) and (t, s), as s lies in b - t.
     OS2, a well-defined, commutative sum: every such join s | t has the row
-    r(e) + r(f), so all joins are the one event that `tables` stores, and
-    the row sum commutes.
+    r(e) + r(f), so all joins are the one event stored at (e, f) and, as
+    t | s = s | t, at (f, e).
     OS3, associativity: once g is orthogonal to e + f and f to g + e, both
     g + (e + f) and (g + e) + f have the row r(g) + r(e) + r(f).
     OS4, zero: the empty set represents 0, is disjoint from every
@@ -483,7 +485,7 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
     OS5, a unique complement: for a representative s of e inside a block b,
     b - s is disjoint from s and their join b has the row r(1), so e has a
     partner; any partner d has r(d) = r(1) - r(e), so it is the only one,
-    `complement(e)`.
+    the event of b - s for every such s and b, `complement(e)`.
     OS6, e + d = f is solvable iff e is orthogonal to f': if e + d = f by a
     join s | t inside a block b, then b - (s | t) has the row r(1) - r(f),
     so it represents f', and it is disjoint from s with its union with s
@@ -559,21 +561,20 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
     to `polytope_vertices` is (mu_e, mu_e per block, K mu_f - k0_f mu_e per
     sub-event).
 
-    The atoms of e' are zero at every conditional, so they are left out of
-    the solve.  e is orthogonal to e', so e is among the sub-events and
-    every conditional has nu(e) = 1.  The row of e' is unit - the row of e,
-    and nu(unit) = 1 by the block equations, so nu(e') = 0.  On a weight
-    vector that meets the block equations an event's functional is the sum
-    of the weights of any of its representatives, so every atom of every
-    representative of e' has weight 0, weights being >= 0.  The polytope is
-    therefore the one over the other atoms with those weights put back as
-    zeros, and zeros at fixed positions keep the sorted order of its
-    vertices.
+    The atoms a whose event {a} is orthogonal to e are zero at every
+    conditional, so they are left out of the solve: e is orthogonal to e',
+    so e is a sub-event and nu(e) = 1, and nu(a) + nu(e) = nu({a} + e) <= 1.
+    They are the atoms of the representatives of e': a representative s of
+    e disjoint from {a} inside a block b leaves a in b - s, a representative
+    of e', and a in a representative u of e' inside b leaves b - u, one of
+    e, disjoint from {a}.  The polytope is therefore the one over the other
+    atoms with those weights put back as zeros, and zeros at fixed positions
+    keep the sorted order of its vertices.
     """
     subs = logic.sub_events(e)
     scale, keys = logic.key_scale, logic.key_rows
     sub_rows = [keys[f.index] for f in subs]
-    forced = set().union(*logic.complement(e).reps)
+    forced = {a for b in logic.blocks for a in b if logic.orthogonal(logic.event_by_atoms([a]), e)}
     free = [a for a in range(1, logic.n + 1) if a not in forced]
     block_rows = logic.block_rows()
     rows = [[row[a - 1] for a in free] for row in block_rows]
@@ -605,21 +606,21 @@ def conditional_state_vertices(logic: FiniteLogic, weights, e: FiniteEvent):
     A conditional state nu must satisfy nu(f) = mu(f) / mu(e) for every
     sub-event f of e.  Returns the exact vertex list of atom-weight vectors
     (empty: none exists; a single vertex: the conditional probability is
-    unique).
+    unique).  Weights that are not a state raise ValueError.
     """
-    (cond,) = _conditional_vertex_lists(logic, e, [logic.state_row(weights)])
+    (cond,) = _conditional_vertex_lists(logic, e, [logic._checked_state_row(weights)])
     return [_weights(row) for row in cond]
 
 
 def _uc2_detail(e, state, cond):
-    unique = len(cond) == 1
+    """The record of a state with no conditional under e, or with more than one."""
     return {
-        "event": sorted(e.canonical_rep),
+        "event": list(e.atoms),
         "state_vertex": state,
-        "exists": len(cond) >= 1,
-        "unique": unique,
-        "conditional": [str(x) for x in _weights(cond[0])] if unique else None,
-        "witnesses": [[str(x) for x in _weights(c)] for c in cond[:2]] if not unique else None,
+        "exists": bool(cond),
+        "unique": False,
+        "conditional": None,
+        "witnesses": [[str(x) for x in _weights(c)] for c in cond[:2]],
     }
 
 
@@ -627,11 +628,10 @@ def check_uc2(logic: FiniteLogic) -> CheckReport:
     """Existence and uniqueness of conditionals at every state.
 
     Walks the events in order and, for each event e, the vertex states v
-    with mu_v(e) > 0, adding one `details` entry per (event, vertex) pair.
-    The first pair without exactly one conditional names the stage,
-    UC2-existence or UC2-uniqueness.  The walk stops once MAX_UC2_FAILURES
-    pairs have failed, so on such a logic `details` ends at the last of
-    them and later pairs are never solved.
+    with mu_v(e) > 0, adding a `details` entry for each (event, vertex)
+    pair without exactly one conditional.  The first such pair names the
+    stage, UC2-existence or UC2-uniqueness.  The walk stops once
+    MAX_UC2_FAILURES pairs have failed, so later pairs are never solved.
 
     Uniqueness at the vertices alone says nothing about a mixed state: its
     conditional polytope contains the mixtures of its parts' conditionals
@@ -654,23 +654,21 @@ def check_uc2(logic: FiniteLogic) -> CheckReport:
     and the two differ because a mu(e) > 0.  The converse is mu = beta.
     """
     details = []
-    failures = 0
     interior = None
     for e in logic.events:
         at_vertices, at_barycentre = logic.event_conditionals(e)
         for vi, cond in at_vertices.items():
-            details.append(_uc2_detail(e, vi, cond))
             if len(cond) == 1:
                 continue
-            failures += 1
-            if failures == 1:
+            details.append(_uc2_detail(e, vi, cond))
+            if len(details) == 1:
                 axiom = "UC2-uniqueness" if cond else "UC2-existence"
                 witness = f"event {e.label()}, vertex state {vi}"
-            if failures == MAX_UC2_FAILURES:
+            if len(details) == MAX_UC2_FAILURES:
                 return CheckReport(False, axiom, witness, details)
         if interior is None and at_barycentre is not None and len(at_barycentre) != 1:
             interior = e, at_barycentre
-    if failures:
+    if details:
         return CheckReport(False, axiom, witness, details)
     if interior is not None:
         e, cond = interior
@@ -723,8 +721,8 @@ def _witness(events, found, scale):
         return None
     parts, f, vi, value = found
     return {
-        "events": [sorted(events[p].canonical_rep) for p in parts],
-        "f": sorted(events[f].canonical_rep),
+        "events": [list(events[p].atoms) for p in parts],
+        "f": list(events[f].atoms),
         "state_vertex": vi,
         "value": str(Fraction(value, scale)),
     }

@@ -175,8 +175,8 @@ def classify(blocks, n_atoms=None) -> dict:
     the expensive stages: one with more than MAX_SCAN_EVENTS events as soon
     as it is built, before the E x E tables of the axiom checks, and one
     with more than MAX_UC2_VERTICES vertex states after UC1.  A UC2 failure
-    keeps the failing details that `check_uc2` collected, at most
-    `finite.MAX_UC2_FAILURES` of them.
+    keeps the details of the failing states that `check_uc2` collected, at
+    most `finite.MAX_UC2_FAILURES` of them.
     """
     logic = FiniteLogic(blocks, n_atoms)
     record = {
@@ -204,8 +204,7 @@ def classify(blocks, n_atoms=None) -> dict:
     uc2 = check_uc2(logic)
     record["uc2_pass"] = uc2.passed
     if not uc2.passed:
-        bad = [d for d in uc2.details if not (d["exists"] and d["unique"])]
-        record["failure"] = {"stage": uc2.axiom, "witness": uc2.witness, "details": bad}
+        record["failure"] = {"stage": uc2.axiom, "witness": uc2.witness, "details": uc2.details}
         return record
     scan = finite_I3_scan(logic, conditional_table(logic))
     record["scan"] = {

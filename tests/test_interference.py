@@ -479,8 +479,8 @@ def oracle_I3_scan(logic, conditionals):
                     if abs(total) > abs(best):
                         best = total
                         witness = {
-                            "events": [sorted(p.canonical_rep) for p in parts],
-                            "f": sorted(f.canonical_rep),
+                            "events": [list(p.atoms) for p in parts],
+                            "f": list(f.atoms),
                             "state_vertex": vi,
                             "value": str(total),
                         }
