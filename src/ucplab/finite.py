@@ -16,7 +16,11 @@ weights w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
 `state_row`, so mu(e) = (k0 W + sum_a k_a W w_a) / (K W) is one integer
 dot product.  Every exact state in the layer is such a row, from the
 solver (`polytope_vertices`, in lowest terms) through the conditional
-table to the scan.  Elimination is fraction-free (`rref`), and a
+table to the scan.  A conditional under an event e is set up on the
+atoms alone (`_conditional_vertex_lists`): each atom below e is pinned to
+mu(a) / mu(e), each other atom orthogonal to e is zero, and only the rest
+are unknowns of the block rows, so within a Boolean block nothing is left
+to eliminate.  Elimination is fraction-free (`rref`), and a
 `Fraction` is built only where a value is reported: the weight vectors of
 `state_vertices`, `conditional_state_vertices` and a UC2 failure, an event
 value (`evaluate`) and the scan's maxima.  An event is identified by its
@@ -121,8 +125,13 @@ def polytope_vertices(eq_rows, rhs_columns, n):
     test all columns share, and it gives a vertex of column b iff b's
     entries are >= 0, the pivots being positive.  Pivot row i then reads
     d_i w_i = t_i / c, so with L the lcm of the d_i the vertex is
-    (L c, (L / d_i) t_i on S, 0 elsewhere) divided by its gcd.
+    (L c, (L / d_i) t_i on S, 0 elsewhere) divided by its gcd.  With n = 0
+    there is nothing to eliminate: each column has the vertex (1,) if its b
+    is zero and none otherwise.
     """
+    if n == 0:
+        # the one point of Q^0 solves exactly the columns whose b is zero
+        return [[] if any(b[1:]) else [(1,)] for b in rhs_columns]
     width = len(rhs_columns)
     reduced, pivots = rref(
         [list(row) + [b[i + 1] for b in rhs_columns] for i, row in enumerate(eq_rows)], limit=n
@@ -338,16 +347,24 @@ class FiniteLogic:
     # -- exact values -----------------------------------------------------------
 
     def state_row(self, weights):
-        """(W, W w_1, ..., W w_n) for an atom-weight vector w, with W the lcm
-        of its denominators: mu(events[i]) = _dot(key_rows[i], row) / (K W)."""
+        """(W, W w_1, ..., W w_n) for an atom-weight vector w of ints and
+        Fractions, with W the lcm of its denominators: mu(events[i]) =
+        _dot(key_rows[i], row) / (K W).  Any other weight, a float among
+        them, raises ValueError."""
         if len(weights) != self.n:
             raise ValueError(f"a state of this logic has {self.n} atom weights, not {len(weights)}")
+        for a, w in enumerate(weights, start=1):
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(
+                    f"weights must be exact rationals (int or Fraction): atom {a} has {w!r}"
+                )
         scale = math.lcm(*[w.denominator for w in weights])
         return (scale, *[w.numerator * (scale // w.denominator) for w in weights])
 
     def _checked_state_row(self, weights):
-        """`state_row`, a format conversion of any weights, of weights that are
-        a state: none negative and each block's summing to 1; else ValueError."""
+        """`state_row`, a format conversion of any exact weights, of weights
+        that are a state: none negative and each block's summing to 1; else
+        ValueError."""
         state = self.state_row(weights)
         for a, w in enumerate(weights, start=1):
             if w < 0:
@@ -404,21 +421,22 @@ class FiniteLogic:
         positive = [vi for vi, p in enumerate(numerators[e.index]) if p > 0]
         if not positive:
             return {}, None
-        # the mean of the rows w_v / W_v over a common scale L = lcm(W_v)
-        common = math.lcm(*[s[0] for s in states])
-        barycentre = [len(states) * common] + [
-            sum(s[a] * (common // s[0]) for s in states) for a in range(1, self.n + 1)
-        ]
         *at_vertices, at_barycentre = _conditional_vertex_lists(
-            self, e, [states[vi] for vi in positive] + [barycentre]
+            self, e, [states[vi] for vi in positive] + [self._barycentre()]
         )
         return dict(zip(positive, at_vertices)), at_barycentre
 
-    def sub_events(self, e: FiniteEvent):
-        """{f : f orthogonal to e'} = the events below e."""
-        orth, _, comp = self.tables()
-        c = comp[e.index]
-        return [f for f in self.events if orth[f.index][c]]
+    @_cached
+    def _barycentre(self):
+        """The mean of the state vertices, as a `state_row` in lowest terms."""
+        states = self.vertex_values()[0]
+        # the mean of the rows w_v / W_v over a common scale L = lcm(W_v)
+        common = math.lcm(*[s[0] for s in states])
+        row = [len(states) * common] + [
+            sum([s[a] * (common // s[0]) for s in states]) for a in range(1, self.n + 1)
+        ]
+        g = math.gcd(*row)
+        return tuple([v // g for v in row])
 
     # -- serialization ----------------------------------------------------------
 
@@ -554,49 +572,64 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
     """Conditional-state vertex lists under e of each state, in one solve;
     states and conditionals are `FiniteLogic.state_row`s.
 
-    A sub-event f of e adds the equation k_f . w = K (nu(f) - c0_f) on its
-    integer key row (k0_f, k_f) = K (c0_f, c_f).  With mu_f and mu_e the
-    integer numerators of the state at f and e, its right-hand side is
-    (K mu_f - k0_f mu_e) / mu_e, and a block's is 1, so the column handed
-    to `polytope_vertices` is (mu_e, mu_e per block, K mu_f - k0_f mu_e per
-    sub-event).
+    A conditional of mu under e is a state nu with nu(f) = mu(f) / mu(e)
+    for every sub-event f of e, that is every f orthogonal to e'.  Split
+    the atoms into P, those a with {a} orthogonal to e' (so {a} <= e); Z,
+    those not in P with {a} orthogonal to e; and R, the rest, an atom in no
+    block among them.  Then the conditionals are exactly the points with
+    nu >= 0, every block summing to 1, nu(a) = mu(a) / mu(e) on P and
+    nu(a) = 0 on Z:
 
-    The atoms a whose event {a} is orthogonal to e are zero at every
-    conditional, so they are left out of the solve: e is orthogonal to e',
-    so e is a sub-event and nu(e) = 1, and nu(a) + nu(e) = nu({a} + e) <= 1.
-    They are the atoms of the representatives of e': a representative s of
-    e disjoint from {a} inside a block b leaves a in b - s, a representative
-    of e', and a in a representative u of e' inside b leaves b - u, one of
-    e, disjoint from {a}.  The polytope is therefore the one over the other
-    atoms with those weights put back as zeros, and zeros at fixed positions
-    keep the sorted order of its vertices.
+    - A sub-event f is orthogonal to e', so some block b holds disjoint
+      representatives s of f and u of e'.  Each atom a of s is disjoint
+      from u inside b, so {a} is orthogonal to e' and a is in P.  The key
+      row is linear in the atom set, so nu(f) and mu(f) are the sums of nu
+      and mu over s: f's equation follows from the pins on P, and each pin
+      is itself the equation of a sub-event {a}.
+    - nu(e) = 1 follows too, since e's representative b - u lies in P.
+    - An atom a of Z then has nu(a) + nu(e) = nu({a} + e) <= 1, so nu(a) = 0.
+
+    So the solve has one row per block over the columns R alone.  With
+    mu_e and s the integer numerators of mu(e) and of the state row, so
+    mu(a) / mu(e) = K s[a] / mu_e, block b has the right-hand side
+    1 - sum over b & P of K s[a] / mu_e, handed to `polytope_vertices` as
+    the column (mu_e, mu_e - K sum_{a in b & P} s[a] per block).  A vertex
+    (V, V w over R) is written back as (V mu_e, K V s[a] on P, mu_e V w on
+    R, 0 on Z) in lowest terms.  The P and Z coordinates are the same at
+    every vertex of one state, so they keep the sorted order.  Where R is
+    empty, as at every event of a Boolean block, `polytope_vertices` has no
+    unknown to solve for, but the pins can still break a block sum, and then
+    no conditional exists.
     """
-    subs = logic.sub_events(e)
-    scale, keys = logic.key_scale, logic.key_rows
-    sub_rows = [keys[f.index] for f in subs]
-    forced = {a for b in logic.blocks for a in b if logic.orthogonal(logic.event_by_atoms([a]), e)}
-    free = [a for a in range(1, logic.n + 1) if a not in forced]
-    block_rows = logic.block_rows()
-    rows = [[row[a - 1] for a in free] for row in block_rows]
-    rows += [[row[a] for a in free] for row in sub_rows]
+    orth, _, comp = logic.tables()
+    below, beside = orth[comp[e.index]], orth[e.index]
+    pinned, free = [], []
+    for a in range(1, logic.n + 1):
+        i = logic._event_of.get(frozenset((a,)))
+        if i is not None and below[i]:
+            pinned.append(a)
+        elif i is None or not beside[i]:
+            free.append(a)
+    pins = [[a for a in b if a in pinned] for b in logic.blocks]
+    rows = [[row[a - 1] for a in free] for row in logic.block_rows()]
+    scale, key = logic.key_scale, logic.key_rows[e.index]
     columns = []
     for state in states:
-        pe = _dot(keys[e.index], state)
+        pe = _dot(key, state)
         if pe <= 0:
             raise ValueError("conditioning needs mu(e) > 0")
-        columns.append(
-            [pe] * (len(block_rows) + 1)
-            + [scale * _dot(row, state) - row[0] * pe for row in sub_rows]
-        )
+        columns.append([pe] + [pe - scale * sum([state[a] for a in pin]) for pin in pins])
     lists = polytope_vertices(rows, columns, len(free))
-    if not forced:
-        return lists
-    full, slots = [0] * (logic.n + 1), [0, *free]
-    for vertices in lists:
+    for state, (pe, *_), vertices in zip(states, columns, lists):
         for k, vertex in enumerate(vertices):
-            for a, w in zip(slots, vertex):
-                full[a] = w
-            vertices[k] = tuple(full)
+            full = [0] * (logic.n + 1)
+            full[0] = vertex[0] * pe
+            for a in pinned:
+                full[a] = scale * state[a] * vertex[0]
+            for a, w in zip(free, vertex[1:]):
+                full[a] = w * pe
+            g = math.gcd(*full)
+            vertices[k] = tuple([v // g for v in full])
     return lists
 
 

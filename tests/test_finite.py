@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucplab import finite
 from ucplab.finite import (
     CheckReport,
     FiniteLogic,
@@ -35,6 +36,10 @@ PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]  # Wright's 
 def _weights(row):
     """The weight vector of a state row (W, W w_1, ..., W w_n)."""
     return tuple(F(v, row[0]) for v in row[1:])
+
+
+def _dot(row, state):
+    return sum(k * s for k, s in zip(row, state))
 
 
 def _state_row(weights):
@@ -466,6 +471,99 @@ def test_cached_tables_match_direct_evaluation(blocks):
     assert all(logic.event_conditionals(e) is c for e, c in zip(logic.events, cached))
 
 
+def definition_conditionals(logic, e):
+    """What `event_conditionals(e)` must return, solved from the definition:
+    a conditional of mu under e is a state nu with nu(f) = mu(f) / mu(e) for
+    every sub-event f of e, the events orthogonal to e' in `tables`.  Each f
+    adds its key-row equation k_f . w = K nu(f) - k0_f over all n atoms,
+    scaled by the numerator mu_e of mu(e), to the block rows."""
+    verts = logic.state_vertices()
+    if not verts:
+        return {}, None
+    orth, _, comp = logic.tables()
+    subs = [row for f, row in enumerate(logic.key_rows) if orth[f][comp[e.index]]]
+    rows = logic.block_rows() + [list(row[1:]) for row in subs]
+    mean = [sum(v[a] for v in verts) / len(verts) for a in range(logic.n)]
+    states = [logic.state_row(v) for v in verts] + [logic.state_row(mean)]
+    assert logic._barycentre() == states[-1]
+    at, columns = [], []
+    for i, state in enumerate(states):
+        pe = _dot(logic.key_rows[e.index], state)
+        if pe > 0:
+            at.append(i)
+            columns.append(
+                [pe] * (len(logic.blocks) + 1)
+                + [logic.key_scale * _dot(row, state) - row[0] * pe for row in subs]
+            )
+    if not at:
+        return {}, None
+    *at_vertices, at_barycentre = polytope_vertices(rows, columns, logic.n)
+    assert at[-1] == len(verts)  # the barycentre is in e where a vertex is
+    return dict(zip(at, at_vertices)), at_barycentre
+
+
+def assert_conditionals_match_the_definition(logic):
+    for e in logic.events:
+        assert logic.event_conditionals(e) == definition_conditionals(logic, e)
+
+
+@pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
+def test_conditionals_match_the_definition(blocks):
+    assert_conditionals_match_the_definition(FiniteLogic(blocks))
+
+
+# the configurations of PINNED_JSONL in test_search.py below 10 atoms
+PINNED_CONFIGS = [
+    SearchConfig(3),
+    SearchConfig(4, 2),
+    SearchConfig(5, 2),
+    SearchConfig(6, 4, 2, 2),
+    SearchConfig(7, 3, 3, 3),
+]
+
+
+@pytest.mark.parametrize("config", PINNED_CONFIGS, ids=str)
+def test_conditionals_of_the_pinned_searches_match_the_definition(config):
+    for n_atoms, blocks in enumerate_logics(config):
+        assert_conditionals_match_the_definition(FiniteLogic(blocks, n_atoms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_BLOCKS, st.integers(0, 2))
+def test_conditionals_of_any_block_list_match_the_definition(blocks, unused):
+    # `unused` atoms past the blocks lie in no block; many lists fail OS3
+    n_atoms = max(a for b in blocks for a in b) + unused
+    assert_conditionals_match_the_definition(FiniteLogic(blocks, n_atoms))
+
+
+def test_an_event_with_every_atom_pinned_is_solved_without_elimination(monkeypatch):
+    # on the triangle of 2-atom blocks the only state is (1/2, 1/2, 1/2),
+    # and {1} = {2} = {3} is one event, its own complement, so every atom
+    # is pinned to mu(a) / mu({1}) = 1.  No unknown is left, yet every
+    # block then sums to 2: there is no conditional.
+    logic = FiniteLogic([(1, 2), (1, 3), (2, 3)])
+    e = logic.event_by_atoms({1})
+    assert logic.vertex_values()[0] == [(2, 1, 1, 1)]
+    assert definition_conditionals(logic, e) == ({0: []}, [])
+    solves = []
+    original = finite.polytope_vertices
+
+    def counted(rows, columns, n):
+        solves.append(n)
+        return original(rows, columns, n)
+
+    monkeypatch.setattr(finite, "polytope_vertices", counted)
+    monkeypatch.setattr(finite, "rref", lambda *args: pytest.fail("rref called"))
+    assert logic.event_conditionals(e) == ({0: []}, [])
+    assert solves == [0]
+
+
+def test_polytope_vertices_without_unknowns_eliminates_nothing(monkeypatch):
+    monkeypatch.setattr(finite, "rref", lambda *args: pytest.fail("rref called"))
+    columns = [[1, 0, 0], [3, 0, 1], [2, -1, 0], [5]]
+    assert polytope_vertices([[], []], columns, 0) == [[(1,)], [], [], [(1,)]]
+
+
 @pytest.mark.parametrize("blocks", [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE], ids=str)
 def test_barycentre_verdict_matches_random_interior_states(blocks):
     # check_uc2's interior claim: where a conditional exists at every vertex
@@ -558,6 +656,23 @@ def test_weights_that_are_not_a_state_are_rejected():
         conditional_state_vertices(logic, (F(1), F(1), F(1)), e)
     with pytest.raises(ValueError, match="do not sum to 1"):
         logic.evaluate((F(1), F(1), F(1)), logic.one_event)
+
+
+def test_weights_that_are_not_exact_rationals_are_rejected():
+    # without the check a float weight failed with AttributeError on
+    # `denominator`
+    logic = FiniteLogic(BOOLEAN3)
+    e = logic.event_by_atoms({1, 2})
+    floats = (0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"exact rationals .*atom 1 has 0\.5"):
+        logic.evaluate(floats, logic.one_event)
+    with pytest.raises(ValueError, match="exact rationals"):
+        conditional_state_vertices(logic, floats, e)
+    with pytest.raises(ValueError, match="exact rationals"):
+        logic.state_row((F(1, 2), F(1, 2), 0.0))
+    assert logic.evaluate((1, 0, 0), e) == 1
+    assert logic.evaluate((F(1, 2), 0, F(1, 2)), e) == F(1, 2)
+    assert logic.state_row((F(1, 2), 0, F(1, 2))) == (2, 1, 0, 1)
 
 
 def test_text_roundtrip():

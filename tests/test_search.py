@@ -170,6 +170,9 @@ def test_classify_solves_each_conditional_polytope_once(monkeypatch):
     # vertex states lies in 8 events.
     assert len(calls) == 1 + 15
     assert sum(len(columns) - 1 for _, columns, _ in calls[1:]) == 4 * 8
+    # in a Boolean block every atom is below e or orthogonal to it, so each
+    # conditional is pinned or zero at every atom and no unknown is left
+    assert [n for _, _, n in calls] == [4] + [0] * 15
 
 
 PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]
