@@ -30,15 +30,15 @@ axiom checks, the conditional table and the scan key on positions.
 
 This module is the exact layer and imports only the standard library, so
 `search` and the `search` / `classify` commands run without numpy.  It owns
-the exact interference scan `finite_I3_scan` and the one I_k sign rule
-`_alternating_subsets`, which the dense maps of `interference` share.  The
-scan works in state coordinates: each interference term is k_f . y for an
-integer vector y of the n + 1 coordinates of a state row, so a tuple of
-events is one signed sum of such vectors, and only a nonzero sum is dotted
-with the E event rows.  Each orthogonal pair keeps its I2 vector, and each
-triple is built from three of them by Sorkin's recursion
-I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c) (`finite_I3_scan`).  It
-takes only a complete conditional table, as a logic that passes UC2 has.
+the exact interference scan `finite_I3_scan`.  The scan works in state
+coordinates: each interference term is k_f . y for an integer vector y of
+the n + 1 coordinates of a state row, so a tuple of events is one signed
+sum of such vectors, and only a nonzero sum is dotted with the E event
+rows.  Every order is built from the order below by one step of Sorkin's
+recursion I_(k+1)(a, b, ...) = I_k(a + b, ...) - I_k(a, ...) - I_k(b, ...)
+(`_sorkin_level`): I1 is the vector y of each event, I2 the level above it
+and I3 the next.  It takes only a complete conditional table, as a logic
+that passes UC2 has.
 
 Text format, one block per line::
 
@@ -551,10 +551,11 @@ def check_uc1(logic: FiniteLogic) -> CheckReport:
 
     Two events agree on every state iff their integer value rows over the
     vertex states are equal; the first such pair in `combinations` order is
-    reported.
+    reported.  A logic with no state fails, even one whose events have all
+    collapsed into 0 = 1.
     """
     events = logic.events
-    if len(events) > 1 and not logic.vertex_values()[0]:
+    if not logic.vertex_values()[0]:
         return CheckReport(False, "UC1", "logic admits no states")
     # pair each event with the first event of equal values; the least such
     # pair (i, j), i < j, is the first in `combinations` order
@@ -730,16 +731,6 @@ def conditional_table(logic: FiniteLogic):
 # ---------------------------------------------------------------------------
 
 
-def _alternating_subsets(parts):
-    """(sign, subset) for every nonempty subset S of the k parts, largest
-    first, with sign (-1)^(k - |S|): the terms of the k-th order
-    interference I_k (Sorkin 1994), dense or exact."""
-    k = len(parts)
-    for size in range(k, 0, -1):
-        for subset in combinations(parts, size):
-            yield (-1) ** (k - size), subset
-
-
 def _largest_entry(key_rows, x):
     """(f, k_f . x) for the first event position f with the largest |k_f . x|."""
     totals = [_dot(k, x) for k in key_rows]
@@ -759,6 +750,44 @@ def _witness(events, found, scale):
         "state_vertex": vi,
         "value": str(Fraction(value, scale)),
     }
+
+
+def _sorkin_level(level, later, sums, zero, zero_row):
+    """(tuple, row) for each tuple of I_(k+1), from `level`, the rows of I_k,
+    by Sorkin's recursion
+
+        I_(k+1)(a, b, *rest) = I_k(a + b, *rest) - I_k(a, *rest) - I_k(b, *rest).
+
+    `level` maps sorted k-tuples of event positions, in walk order, to rows:
+    one integer vector per vertex state, the shared `zero` where it is zero,
+    and the shared `zero_row` where every vector is.  The walk extends each
+    tuple t by every l in later[t[-1]], the positions l >= t[-1] orthogonal
+    to t[-1], so the new tuples are sorted and in walk order too.  It keeps
+    (a, b, *rest) = t + (l,) only if all three terms are keys of `level`,
+    the first one sorted: every orthogonal pair a <= b for I2, and for I3
+    every triple whose c is orthogonal to a, b and a + b (without OS3 an
+    event orthogonal to each of two can fail to be orthogonal to their sum).
+    """
+    for t in level:
+        for l in later[t[-1]]:
+            key = t + (l,)
+            a, b, *rest = key
+            p = level.get(tuple(sorted([sums[a][b], *rest])))
+            q = level.get((a, *rest))
+            r = level.get((b, *rest))
+            if p is None or q is None or r is None:
+                continue
+            if p is zero_row and q is zero_row and r is zero_row:
+                yield key, zero_row
+                continue
+            row = []
+            for u, v, w in zip(p, q, r):
+                if u is zero and v is zero and w is zero:
+                    row.append(zero)
+                    continue
+                x = [i - j - k for i, j, k in zip(u, v, w)]
+                row.append(x if any(x) else zero)
+            yield key, zero_row if all(x is zero for x in row) else row
 
 
 def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
@@ -782,41 +811,32 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
         y[g][v] = (S / D) p nu_row,
 
     an integer vector of the n + 1 state coordinates, and a shared zero
-    vector where mu_v(g) = 0.  So a tuple at vertex v has S I_k(f) = k_f . x,
-    with x the sum of its groups' vectors y under the signs of
-    `_alternating_subsets`.  Where x = 0 every f gives 0, which cannot beat
-    the running maximum (the comparison is strict), so the E dot products
-    are skipped.
-
-    Each orthogonal pair (a, b) stores its vector per vertex once,
-    z[a, b] = y[a + b] - y[a] - y[b], and each triple is built from three of
-    them by Sorkin's recursion I3(a, b, c) = I2(a + b, c) - I2(a, c) - I2(b, c):
+    vector where mu_v(g) = 0.  So a tuple at vertex v has S I_k(f) = k_f . x
+    for one integer vector x.  Where x = 0 every f gives 0, which cannot
+    beat the running maximum (the comparison is strict), so the E dot
+    products are skipped.  The rows y are level 1, keyed (g,), and
+    `_sorkin_level` builds I2 from them and I3 from the I2 rows:
 
         I2(a + b, c) = y[a+b+c] - y[a+b] - y[c]
         - I2(a, c)   =          - y[a+c] + y[a] + y[c]
         - I2(b, c)   =          - y[b+c] + y[b] + y[c]
 
-    sum to the seven terms of I3.  The walk takes c orthogonal to a + b, so
-    the pair (a + b, c) was walked too.  A vector that sums to zero is the
-    one shared zero object, and a pair that is zero at every vertex the one
-    shared zero row, so on a UCP logic, where every z is 0, a triple costs
-    three identity tests.
-
-    The tuples are walked in event order with repeats, from the position
-    tables of `FiniteLogic.tables`: pairs i <= j, then triples i <= j <= l
-    with l orthogonal to i, j and i + j (without OS3 an event orthogonal to
-    each of two can fail to be orthogonal to their sum).  Only the reported
-    maxima and witness values are `Fraction(value, S)`; S is positive and
-    shared, so the maxima and the first configuration with the largest
-    |value|, which wins, do not depend on it.
+    sum to the seven terms of I3.  A vector that sums to zero is the one
+    shared zero object, and a tuple that is zero at every vertex the one
+    shared zero row, so on a UCP logic, where every I2 row is zero, a
+    triple's row costs three identity tests.  `pairs` and `triples` are the sizes of the
+    two levels.  Only the reported maxima and witness values are
+    `Fraction(value, S)`; S is positive and shared, so the maxima and the
+    first configuration in walk order with the largest |value|, which wins,
+    do not depend on it.
     """
     if conditionals is None:
         conditionals = conditional_table(logic)
     events, key_rows = logic.events, logic.key_rows
     states, numerators, scales = logic.vertex_values()
-    width = len(events)
 
     zero = [0] * (logic.n + 1)
+    zero_row = [zero] * len(states)
     exact = []  # exact[g][v]: (D, p, nu_row), or zero where mu_v(g) = 0
     for gi, row in enumerate(numerators):
         terms = []
@@ -833,66 +853,34 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
             terms.append((scales[vi] * logic.key_scale * nu_row[0], p, nu_row))
         exact.append(terms)
     scale = math.lcm(*[t[0] for terms in exact for t in terms if t is not zero])
-    y = [
-        [t if t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
-        for terms in exact
-    ]
-    signed = {1: y, -1: [[t if t is zero else [-c for c in t] for t in ts] for ts in y]}
+    level = {}
+    for g, terms in enumerate(exact):
+        row = [t if t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
+        level[(g,)] = zero_row if all(t is zero for t in terms) else row
 
     orth, sums, _ = logic.tables()
-    later = [[j for j in range(i, width) if line[j]] for i, line in enumerate(orth)]
-    zero_row = [zero] * len(states)
-    z = [[None] * width for _ in range(width)]  # z[a][b]: z[a, b] at each vertex
-    best2, found2, pairs = 0, None, 0
-    for i in range(width):
-        for j in later[i]:
-            pairs += 1
-            tables = [
-                signed[sign][sums[i][j] if len(subset) == 2 else subset[0]]
-                for sign, subset in _alternating_subsets((i, j))
-            ]
-            row = []
-            for vi, (a, b, c) in enumerate(zip(*tables)):
-                x = [*map(sum, zip(a, b, c))]
-                if not any(x):
-                    row.append(zero)
+    later = [[j for j in range(i, len(events)) if line[j]] for i, line in enumerate(orth)]
+    found = []  # (best, witness, size) of I2, then of I3
+    for _ in range(2):
+        best, witness, rows = 0, None, {}
+        for t, row in _sorkin_level(level, later, sums, zero, zero_row):
+            rows[t] = row
+            if row is zero_row:
+                continue
+            for vi, x in enumerate(row):
+                if x is zero:
                     continue
-                row.append(x)
                 f, value = _largest_entry(key_rows, x)
-                if abs(value) > abs(best2):
-                    best2, found2 = value, ((i, j), f, vi, value)
-            if all(x is zero for x in row):
-                row = zero_row
-            z[i][j] = z[j][i] = row
-
-    best3, found3, triples = 0, None, 0
-    for i in range(width):
-        on_i, z_i = orth[i], z[i]
-        for j in later[i]:
-            s = sums[i][j]
-            on_s, z_s, z_j = orth[s], z[s], z[j]
-            for l in later[j]:
-                if not (on_i[l] and on_s[l]):
-                    continue
-                triples += 1
-                rows = z_s[l], z_i[l], z_j[l]
-                if rows[0] is zero_row and rows[1] is zero_row and rows[2] is zero_row:
-                    continue
-                for vi, (a, b, c) in enumerate(zip(*rows)):
-                    if a is zero and b is zero and c is zero:
-                        continue
-                    x = [p - q - r for p, q, r in zip(a, b, c)]
-                    if not any(x):
-                        continue
-                    f, value = _largest_entry(key_rows, x)
-                    if abs(value) > abs(best3):
-                        best3, found3 = value, ((i, j, l), f, vi, value)
-
+                if abs(value) > abs(best):
+                    best, witness = value, (t, f, vi, value)
+        found.append((Fraction(best, scale), _witness(events, witness, scale), len(rows)))
+        level = rows
+    (best2, witness2, pairs), (best3, witness3, triples) = found
     return {
-        "max_abs_i2": Fraction(best2, scale),
-        "i2_witness": _witness(events, found2, scale),
-        "max_abs_i3": Fraction(best3, scale),
-        "i3_witness": _witness(events, found3, scale),
+        "max_abs_i2": best2,
+        "i2_witness": witness2,
+        "max_abs_i3": best3,
+        "i3_witness": witness3,
         "pairs": pairs,
         "triples": triples,
         "vertex_states": len(states),

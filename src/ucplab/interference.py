@@ -3,8 +3,7 @@ condition, and the identity batteries for the compression maps.
 
 This module is the dense layer: everything here works on numpy arrays of a
 matrix model.  The exact interference scan over finite logics lives in
-`finite`, with the one sign rule `_alternating_subsets`, which this module
-imports from there.
+`finite`, and this module imports nothing from there.
 
 All the maps here are linear on the Hermitian elements of a matrix model:
 
@@ -18,14 +17,15 @@ builds from the model's tabulated `jordan.structure_constants`; it acts on
 coordinate columns over `jordan.hermitian_basis`.  Every battery states its
 identities as sums and `@` products of these raw matrices, applied to
 coordinate columns where an identity acts on events.  `_alternating_subsets`
-is the one sign rule of I2 and I3: `_interference_dense` sums compressions
-over it, `I2_scalar` and `I3_scalar` evaluate mu on that sum applied to f,
-and `finite.finite_I3_scan` signs its exact pair vectors by it and builds
-each triple from three pairs by I3(a, b, c) = I2(a + b, c) - I2(a, c) -
-I2(b, c), an identity the tests check on these dense maps too.  Each
-compression is built on its own, so the vanishing of I3 is a numerical fact and not an algebraic
-cancellation.  Every entry point that takes events checks them with
-`jordan._require_events`: one model, and every event idempotent.
+is the sign rule of I2 and I3: `_interference_dense` sums compressions
+over it, and `I2_scalar` and `I3_scalar` evaluate mu on that sum applied
+to f.  The exact scan `finite.finite_I3_scan` needs no sign rule: it builds
+each order from the one below by Sorkin's recursion I3(a, b, c) =
+I2(a + b, c) - I2(a, c) - I2(b, c), an identity the tests check on these
+dense maps too.  Each compression is built on its own, so the vanishing of
+I3 is a numerical fact and not an algebraic cancellation.  Every entry
+point that takes events checks them with `jordan._require_events`: one
+model, and every event idempotent.
 
 The corridor needs no matrix.  With e' = 1 - e, linearity alone sums the two
 compressions in p = mu(U_e f) + mu(U_e' f) to mu(f - 4 (e o f - e o (e o f))),
@@ -38,12 +38,12 @@ point lands on (1/2, 1) exactly.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .finite import _alternating_subsets
 from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
@@ -109,6 +109,16 @@ def _random_projections(rng, idem, parts=None):
 def _t_dense(u, u_comp) -> np.ndarray:
     """T_e = (id + U_e - U_e') / 2 from the dense U_e and U_e'."""
     return 0.5 * (np.eye(u.shape[-1]) + u - u_comp)
+
+
+def _alternating_subsets(parts):
+    """(sign, subset) for every nonempty subset S of the k parts, largest
+    first, with sign (-1)^(k - |S|): the terms of the k-th order
+    interference I_k (Sorkin 1994)."""
+    k = len(parts)
+    for size in range(k, 0, -1):
+        for subset in combinations(parts, size):
+            yield (-1) ** (k - size), subset
 
 
 def _interference_dense(desc: AlgebraDescriptor, *parts) -> np.ndarray:

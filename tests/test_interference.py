@@ -1,6 +1,8 @@
 """Interference operators, corridor bounds and the identity batteries."""
 
+import functools
 import gc
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucplab.finite import FiniteLogic, conditional_table, finite_I3_scan
+from ucplab.finite import FiniteLogic, _sorkin_level, conditional_table, finite_I3_scan
 from ucplab.interference import (
     I2_scalar,
     I3_scalar,
@@ -27,6 +29,7 @@ from ucplab.interference import (
 )
 from ucplab import interference
 from ucplab.interference import (
+    _alternating_subsets,
     _corridor_draw,
     _interference_dense,
     _random_projections,
@@ -486,6 +489,24 @@ def oracle_I3_scan(logic, conditionals):
                         }
         return best, witness
 
+    pair_tuples, triple_tuples = oracle_tuples(logic)
+    max_i2, wit_i2 = scan_tuples(pair_tuples)
+    max_i3, wit_i3 = scan_tuples(triple_tuples)
+    return {
+        "max_abs_i2": max_i2,
+        "i2_witness": wit_i2,
+        "max_abs_i3": max_i3,
+        "i3_witness": wit_i3,
+        "pairs": len(pair_tuples),
+        "triples": len(triple_tuples),
+        "vertex_states": len(verts),
+    }
+
+
+def oracle_tuples(logic):
+    """(pairs, triples) of mutually orthogonal events as nested loops, each a
+    (parts, signed groups) with the groups of I2 and I3 written out."""
+    events = logic.events
     pair_tuples = []
     for i, e1 in enumerate(events):
         for e2 in events[i:]:
@@ -512,17 +533,7 @@ def oracle_I3_scan(logic, conditionals):
                     (1, e3),
                 ]
                 triple_tuples.append(((e1, e2, e3), groups))
-    max_i2, wit_i2 = scan_tuples(pair_tuples)
-    max_i3, wit_i3 = scan_tuples(triple_tuples)
-    return {
-        "max_abs_i2": max_i2,
-        "i2_witness": wit_i2,
-        "max_abs_i3": max_i3,
-        "i3_witness": wit_i3,
-        "pairs": len(pair_tuples),
-        "triples": len(triple_tuples),
-        "vertex_states": len(verts),
-    }
+    return pair_tuples, triple_tuples
 
 
 def perturbed_table(logic, seed):
@@ -552,6 +563,12 @@ ORACLE_LOGICS = {
     "pasting": [(1, 2, 3), (3, 4, 5)],
     "triangle": [(1, 2, 3), (3, 4, 5), (5, 6, 1)],
     "square": [(1, 2), (2, 3), (3, 4), (4, 1)],
+    # inconsistent block relations collapse every event into 0 = 1, so the
+    # logic has one event and no vertex state
+    "stateless": [(1,), (1, 2), (2,)],
+    # a triple (a, b, c) of this logic has a + b after c in event order, so
+    # the I3 walk must sort the key of I2(a + b, c)
+    "sum_after_c": [(5, 1, 2), (3, 2), (4,), (1, 3)],
 }
 
 
@@ -561,6 +578,46 @@ def test_finite_scan_matches_oracle(name):
     tables = [conditional_table(logic)] + [perturbed_table(logic, seed) for seed in range(2)]
     for table in tables:
         assert_scan_matches_oracle(logic, table)
+
+
+@pytest.mark.parametrize("name", ORACLE_LOGICS)
+def test_sorkin_level_rows_are_the_signed_subset_sums(name):
+    # random level-1 vectors, some of them the shared zero and some rows the
+    # shared zero row; every row of I2 and I3 must be the signed sum of I_k
+    # over the tuple's subsets, in the oracle's walk order
+    logic = FiniteLogic(ORACLE_LOGICS[name])
+    rng = random.Random(name)
+    n_vertices, zero = 3, [0, 0, 0]
+    zero_row = [zero] * n_vertices
+    y = {}
+    for g in range(len(logic.events)):
+        # a nonzero first entry keeps a drawn vector distinct from zero
+        row = [
+            zero
+            if rng.random() < 0.3
+            else [rng.choice([-2, -1, 1, 2]), *rng.choices(range(-2, 3), k=2)]
+            for _ in range(n_vertices)
+        ]
+        y[(g,)] = zero_row if rng.random() < 0.2 else row
+    orth, sums, _ = logic.tables()
+    width = len(logic.events)
+    later = [[j for j in range(i, width) if line[j]] for i, line in enumerate(orth)]
+    pairs = dict(_sorkin_level(y, later, sums, zero, zero_row))
+    triples = dict(_sorkin_level(pairs, later, sums, zero, zero_row))
+    for level, tuples in zip((pairs, triples), oracle_tuples(logic)):
+        assert list(level) == [tuple(e.index for e in parts) for parts, _ in tuples]
+        for parts, row in level.items():
+            events = [logic.events[p] for p in parts]
+            expected = []
+            for vi in range(n_vertices):
+                total = [0, 0, 0]
+                for sign, subset in _alternating_subsets(events):
+                    g = functools.reduce(logic.sum, subset).index
+                    total = [t + sign * c for t, c in zip(total, y[(g,)][vi])]
+                expected.append(total)
+            assert row == expected
+            assert all(x is zero for x in row if not any(x))
+            assert (row is zero_row) == (not any(map(any, row)))
 
 
 def test_finite_scan_oracle_cases_reach_signed_witnesses():

@@ -261,6 +261,25 @@ def test_classify_uc1_failure():
     assert record["failure"]["stage"] == "UC1"
 
 
+def test_classify_fails_a_logic_without_states(tmp_path, capsys):
+    # the block relations of these blocks are inconsistent and collapse every
+    # event into 0 = 1: one event and no state, which is not UCP
+    record = classify([(1,), (1, 2), (2,)])
+    assert record == {
+        "blocks": [[1], [1, 2], [2]],
+        "n_atoms": 2,
+        "n_events": 1,
+        "os_pass": True,
+        "n_states": 0,
+        "uc1_pass": False,
+        "failure": {"stage": "UC1", "witness": "logic admits no states"},
+    }
+    path = tmp_path / "stateless.txt"
+    path.write_text("block: 1\nblock: 1 2\nblock: 2\n")
+    assert main(["classify", "--logic", str(path)]) == 1
+    assert capsys.readouterr().out == json.dumps(record, sort_keys=True) + "\n"
+
+
 def test_classify_os_failure():
     record = classify([(1, 2, 5), (2, 3, 6), (1, 3, 4)])
     assert record["os_pass"] is False
