@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .finite import FiniteLogic
+from .finite import read_blocks
 from .levels import LEVELS
 from .search import SearchConfig, classify, run_search
 
@@ -42,6 +42,8 @@ def _descriptor(parser, args):
 
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if not (math.isfinite(args.tol) and args.tol > 0):
         parser.error("--tol must be a positive finite number")
     try:
@@ -93,11 +95,9 @@ def cmd_verify(parser, args):
     record("algebra-laws", jordan.property_battery(desc, args.trials, args.seed))
     record("compression-lemmas", interference.lemma_suite(desc, args.trials, args.seed + 1))
     record("event-symmetry", interference.symmetry_battery(desc, args.trials, args.seed + 2))
-    if desc.n >= 2:
-        record(
-            "multiplication-map",
-            interference.t_structure_battery(desc, args.trials, args.seed + 3),
-        )
+    record(
+        "multiplication-map", interference.t_structure_battery(desc, args.trials, args.seed + 3)
+    )
     record(
         "third-order-vanishing",
         {"dense_max": interference.i3_basis_norm_max(desc, args.trials, args.seed + 4)},
@@ -194,10 +194,10 @@ def cmd_search(parser, args):
 def cmd_classify(parser, args):
     try:
         with open(args.logic, encoding="utf-8") as handle:
-            logic = FiniteLogic.from_text(handle.read())
+            blocks = read_blocks(handle.read())
     except (OSError, ValueError) as exc:
         parser.error(f"--logic {args.logic}: {exc}")
-    record = classify(logic.raw_blocks, logic.n)
+    record = classify(blocks)
     _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
     return 0 if "scan" in record else 1
 

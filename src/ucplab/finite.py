@@ -9,9 +9,14 @@ the complement of a shared atom is one event no matter which block computes
 it.  All arithmetic is exact rational so equality, UC1 and UC2 are hard
 yes/no answers.
 
-The arithmetic runs on Python integers, never on fixed-width ones.  Each
-logic scales every event functional once by K = `key_scale`, the lcm of
-its denominators, to the int row (k0, k1..kn) in `key_rows`.  A state's
+The arithmetic runs on Python integers, never on fixed-width ones.  `rref`
+is the one elimination: it reduces the relation rows once, and each atom's
+functional is read off them, the atom itself unless it is a pivot.  K =
+`key_scale`, the lcm of the atoms' denominators, scales each to an int row,
+and the row (k0, k1..kn) of an event in `key_rows` is the sum of the atom
+rows of any of its representatives, because the reduction is linear in the
+atom set.  k0 is always 0: every relation row has -1 in column 0, so `rref`
+pivots on the constant first and no atom's functional keeps one.  A state's
 weights w are scaled by their own lcm W to the row (W, W w_1..W w_n) of
 `state_row`, so mu(e) = (k0 W + sum_a k_a W w_a) / (K W) is one integer
 dot product.  Every exact state in the layer is such a row, from the
@@ -225,11 +230,14 @@ def _subsets(atoms):
 class FiniteLogic:
     """Orthogonality space derived from atom blocks.
 
-    The events, their integer `key_rows` and `_event_of` are built with the logic.
-    Every other exact quantity (the position tables of orthogonality, sums
-    and complements, state vertices, the vertex-value and conditional
-    tables) comes from a `_cached` method: it is computed on first use and
-    kept on the logic.
+    The events, their integer `key_rows` and `_event_of` are built with the
+    logic, from one `rref` of the block relations and one row per atom: a
+    walk over the block subsets by size, then tuple, sums each subset's row
+    from its prefix's and its last atom's, and the first subset to reach an
+    event names it.  Every other exact quantity (the position tables of
+    orthogonality, sums and complements, state vertices, the vertex-value
+    and conditional tables) comes from a `_cached` method: it is computed on
+    first use and kept on the logic.
     """
 
     def __init__(self, blocks, n_atoms=None):
@@ -241,48 +249,36 @@ class FiniteLogic:
                 if not 1 <= a <= self.n:
                     raise ValueError(f"atom {a} of block {b} is outside 1..{self.n}")
         self.blocks = [tuple(sorted(set(b))) for b in self.raw_blocks]
-        self._basis, self._pivots = rref([[-1] + row for row in self.block_rows()])
         self._cache = {}
-        forms = {}
-        for b in self.blocks:
-            for sub in _subsets(b):
-                if sub not in forms:
-                    forms[sub] = self._form(sub)
-        # K, the lcm of the functionals' denominators, scales each to a row
-        # of ints; the events are numbered in the sorted order of those rows
-        distinct = set(forms.values())
-        self.key_scale = math.lcm(*[form[0] for form in distinct])
-        scaled = sorted(
-            (tuple([v * (self.key_scale // form[0]) for v in form[1:]]), form) for form in distinct
-        )
-        self.key_rows = [row for row, _ in scaled]
-        position = {form: i for i, (_, form) in enumerate(scaled)}
-        self._event_of = {frozenset(sub): position[form] for sub, form in forms.items()}
-        least = {}  # each event's representative with the fewest atoms, then the least tuple
-        for sub in sorted(forms, key=lambda sub: (len(sub), sub)):
-            least.setdefault(position[forms[sub]], sub)
-        self.events = [FiniteEvent(least[i], i) for i in range(len(scaled))]
-
-    # -- construction helpers ------------------------------------------------
-
-    def _reduce(self, vec):
-        """Integer form (D, D c0, ..., D cn), in lowest terms with D > 0, of
-        the functional vec reduced modulo the block relations."""
-        scale = 1
-        for row, p in zip(self._basis, self._pivots):
-            a = vec[p]
-            if a:
-                d = row[p]
-                vec = [d * v - a * w for v, w in zip(vec, row)]
-                scale *= d
-        g = math.gcd(scale, *vec)
-        return (scale // g, *(v // g for v in vec))
-
-    def _form(self, atom_set):
-        vec = [0] * (self.n + 1)
-        for a in atom_set:
-            vec[a] = 1
-        return self._reduce(vec)
+        # Modulo the relations an atom that is not a pivot is itself, and the
+        # pivot atom a of a reduced row r with pivot entry d is
+        # -(r - d w_a) / d: the form (d, -r with entry a set to 0), in lowest
+        # terms because `rref` keeps its rows primitive.  The constant's row
+        # (pivot 0) names no atom.
+        reduced, pivots = rref([[-1] + row for row in self.block_rows()])
+        pivot_rows = {a: row for row, a in zip(reduced, pivots) if a}
+        self.key_scale = math.lcm(*[row[a] for a, row in pivot_rows.items()])
+        atom_rows = [[0] * (self.n + 1) for _ in range(self.n + 1)]
+        for a in range(1, self.n + 1):
+            atom_rows[a][a] = self.key_scale
+        for a, row in pivot_rows.items():
+            atom_rows[a] = [-(self.key_scale // row[a]) * v for v in row]
+            atom_rows[a][a] = 0
+        # a subset's row is its prefix's plus its last atom's; the events are
+        # numbered in the sorted order of their rows
+        row_of, least = {}, {}
+        subsets = {sub for b in self.blocks for sub in _subsets(b)}
+        for sub in sorted(subsets, key=lambda sub: (len(sub), sub)):
+            if sub:
+                row = tuple([v + w for v, w in zip(row_of[sub[:-1]], atom_rows[sub[-1]])])
+            else:
+                row = tuple([0] * (self.n + 1))
+            row_of[sub] = row
+            least.setdefault(row, sub)
+        self.key_rows = sorted(least)
+        position = {row: i for i, row in enumerate(self.key_rows)}
+        self._event_of = {frozenset(sub): position[row] for sub, row in row_of.items()}
+        self.events = [FiniteEvent(least[row], i) for i, row in enumerate(self.key_rows)]
 
     # -- basic structure -------------------------------------------------------
 
@@ -445,18 +441,23 @@ class FiniteLogic:
 
     @classmethod
     def from_text(cls, text: str) -> "FiniteLogic":
-        blocks = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if not line.startswith("block:"):
-                raise ValueError(f"unrecognized line: {line!r}")
-            atoms = [int(tok) for tok in line[len("block:"):].split()]
-            if any(a < 1 for a in atoms):
-                raise ValueError("atom indices are 1-based")
-            blocks.append(tuple(atoms))
-        return cls(blocks)
+        return cls(read_blocks(text))
+
+
+def read_blocks(text: str) -> list:
+    """The blocks of a block file, one `block: 1 2 3` line each, as tuples of atoms."""
+    blocks = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not line.startswith("block:"):
+            raise ValueError(f"unrecognized line: {line!r}")
+        atoms = [int(tok) for tok in line[len("block:"):].split()]
+        if any(a < 1 for a in atoms):
+            raise ValueError("atom indices are 1-based")
+        blocks.append(tuple(atoms))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

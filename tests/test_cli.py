@@ -53,6 +53,18 @@ def test_verify_fails_on_impossible_tolerance(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("algebra", ["R", "C", "H"])
+def test_verify_runs_every_check_at_dimension_one(capsys, algebra):
+    def check_ids(dim):
+        code, out = run(capsys, "verify", "--algebra", algebra, "--dim", dim, "--trials", "3")
+        assert code == 0
+        return [c["id"] for c in json.loads(out)["checks"]]
+
+    ids = check_ids("1")
+    assert "multiplication-map.spectrum" in ids
+    assert ids == check_ids("2")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -67,6 +79,9 @@ def test_verify_fails_on_impossible_tolerance(capsys):
         ("search", "--max-atoms", "3", "--blocks", "0"),
         ("search", "--max-atoms", "3", "--block-size-min", "1"),
         ("search", "--max-atoms", "4", "--block-size-min", "3", "--block-size-max", "2"),
+        ("verify", "--seed", "-1"),
+        ("corridor", "--seed", "-1"),
+        ("i3", "--seed", "-1"),
     ],
 )
 def test_usage_errors_exit_two(argv):

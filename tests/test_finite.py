@@ -1,5 +1,6 @@
 """Exact rational checks on finite block-pasted logics."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -536,6 +537,72 @@ def test_conditionals_of_any_block_list_match_the_definition(blocks, unused):
     assert_conditionals_match_the_definition(FiniteLogic(blocks, n_atoms))
 
 
+STATELESS = [(1,), (1, 2), (2,)]  # inconsistent relations collapse every event into one
+NESTED = [(1, 2), (2,)]  # the unit is {2} and {1, 2}; (1, 2) sorts first by tuple alone
+
+
+def reduced_key_rows(blocks, n_atoms=None):
+    """(K, key rows, {subset: position}, names) of a block list, each block
+    subset reduced on its own: its 0/1 functional (0, 1_s) is reduced in
+    Fractions by each `rref` row r of the relations -1 + sum_b w = 0 in turn,
+    vec - (vec[p] / r[p]) r at r's pivot p.  K is the lcm of the reduced
+    functionals' denominators, the rows are K times them, sorted, and each
+    event is named by its representative with the fewest atoms, then the
+    least tuple."""
+    blocks = [tuple(sorted(set(b))) for b in blocks]
+    n = n_atoms if n_atoms is not None else max([a for b in blocks for a in b], default=0)
+    basis, pivots = rref([[-1] + [int(a in b) for a in range(1, n + 1)] for b in blocks])
+    functional = {}
+    for b in blocks:
+        for r in range(len(b) + 1):
+            for sub in combinations(b, r):
+                vec = [F(int(a in sub)) for a in range(n + 1)]
+                for row, p in zip(basis, pivots):
+                    factor = vec[p] / row[p]
+                    vec = [v - factor * w for v, w in zip(vec, row)]
+                functional[sub] = tuple(vec)
+    scale = math.lcm(*[v.denominator for vec in functional.values() for v in vec])
+    rows = sorted({tuple(int(v * scale) for v in vec) for vec in functional.values()})
+    position = {row: i for i, row in enumerate(rows)}
+    event_of, names = {}, {}
+    for sub, vec in sorted(functional.items(), key=lambda item: (len(item[0]), item[0])):
+        i = position[tuple(int(v * scale) for v in vec)]
+        event_of[frozenset(sub)] = i
+        names.setdefault(i, sub)
+    return scale, rows, event_of, [names[i] for i in range(len(rows))]
+
+
+def assert_events_match_the_reduction(blocks, n_atoms=None):
+    logic = FiniteLogic(blocks, n_atoms)
+    scale, rows, event_of, names = reduced_key_rows(blocks, n_atoms)
+    assert logic.key_scale == scale
+    assert logic.key_rows == rows
+    assert logic._event_of == event_of
+    assert [e.atoms for e in logic.events] == names
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [BOOLEAN3, BOOLEAN4, PASTED, TRIANGLE, SQUARE, PENTAGON, STATELESS, NESTED, REPEATED_ATOM],
+    ids=str,
+)
+def test_atom_rows_sum_to_the_reduced_rows_of_every_subset(blocks):
+    assert_events_match_the_reduction(blocks)
+
+
+@pytest.mark.parametrize("config", PINNED_CONFIGS, ids=str)
+def test_atom_rows_sum_to_the_reduced_rows_on_the_pinned_searches(config):
+    for n_atoms, blocks in enumerate_logics(config):
+        assert_events_match_the_reduction(blocks, n_atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_BLOCKS, st.integers(0, 2))
+def test_atom_rows_sum_to_the_reduced_rows_on_any_block_list(blocks, unused):
+    # nested and repeated blocks; `unused` atoms lie in no block
+    assert_events_match_the_reduction(blocks, max(a for b in blocks for a in b) + unused)
+
+
 def test_an_event_with_every_atom_pinned_is_solved_without_elimination(monkeypatch):
     # on the triangle of 2-atom blocks the only state is (1/2, 1/2, 1/2),
     # and {1} = {2} = {3} is one event, its own complement, so every atom
@@ -679,6 +746,7 @@ def test_text_roundtrip():
     logic = FiniteLogic(PASTED)
     text = logic.to_text()
     again = FiniteLogic.from_text(text + "# trailing comment\n")
+    assert finite.read_blocks(text) == PASTED
     assert again.blocks == logic.blocks
     assert len(again.events) == len(logic.events)
 

@@ -207,6 +207,22 @@ def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
     assert out.read_text() == line
 
 
+def test_cli_classify_builds_the_logic_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(finite.FiniteLogic(PENTAGON).to_text())
+    builds = []
+    init = finite.FiniteLogic.__init__
+
+    def counted_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(finite.FiniteLogic, "__init__", counted_init)
+    assert main(["classify", "--logic", str(path)]) == 1
+    assert len(builds) == 1
+    assert hashlib.sha256(capsys.readouterr().out[:-1].encode()).hexdigest() == PENTAGON_SHA256
+
+
 @pytest.mark.parametrize("limit", ["MAX_SCAN_EVENTS", "MAX_UC2_VERTICES"])
 def test_oversized_logic_is_skipped_before_uc2(monkeypatch, tmp_path, capsys, limit):
     # Boolean-3 has 8 events and 3 vertex states; a limit below the event
