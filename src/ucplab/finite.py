@@ -29,9 +29,11 @@ to eliminate.  Elimination is fraction-free (`rref`), and a
 `Fraction` is built only where a value is reported: the weight vectors of
 `state_vertices`, `conditional_state_vertices` and a UC2 failure, an event
 value (`evaluate`) and the scan's maxima.  An event is identified by its
-position in `events` alone: `FiniteLogic.tables` fills orthogonality, sums
-and complements by position from one walk over the block subsets, and the
-axiom checks, the conditional table and the scan key on positions.
+position in `events` alone: `FiniteLogic.tables` fills one sum map per
+event and the complements by position from one walk over the block
+subsets.  Orthogonality is having a sum, so it is the key set of the sum
+map, and the axiom checks, the conditional table and the scan key on
+positions.
 
 This module is the exact layer and imports only the standard library, so
 `search` and the `search` / `classify` commands run without numpy.  It owns
@@ -235,7 +237,7 @@ class FiniteLogic:
     walk over the block subsets by size, then tuple, sums each subset's row
     from its prefix's and its last atom's, and the first subset to reach an
     event names it.  Every other exact quantity (the position tables of
-    orthogonality, sums and complements, state vertices, the vertex-value
+    sums and complements, state vertices, the vertex-value
     and conditional tables) comes from a `_cached` method: it is computed on
     first use and kept on the logic.
     """
@@ -258,9 +260,8 @@ class FiniteLogic:
         reduced, pivots = rref([[-1] + row for row in self.block_rows()])
         pivot_rows = {a: row for row, a in zip(reduced, pivots) if a}
         self.key_scale = math.lcm(*[row[a] for a, row in pivot_rows.items()])
-        atom_rows = [[0] * (self.n + 1) for _ in range(self.n + 1)]
-        for a in range(1, self.n + 1):
-            atom_rows[a][a] = self.key_scale
+        # only the atoms of some block are ever summed, so only they get a row
+        atom_rows = {a: [self.key_scale if c == a else 0 for c in range(self.n + 1)] for a in atoms}
         for a, row in pivot_rows.items():
             atom_rows[a] = [-(self.key_scale // row[a]) * v for v in row]
             atom_rows[a][a] = 0
@@ -302,40 +303,41 @@ class FiniteLogic:
 
     @_cached
     def tables(self):
-        """(orth, sums, comp), indexed by position in `events`, from one walk
-        over the pairs of disjoint subsets s and t of each block b: events i
-        of s and j of t are orthogonal, sums[i][j] is the event of s | t (None
-        where no such s and t exist) and comp[i] the event of b - s.
+        """(sums, comp), indexed by position in `events`, from one walk over
+        the pairs of disjoint subsets s and t of each block b: sums[i] maps
+        each event j orthogonal to event i, that is the event of some t for
+        an s of i, to the event of s | t, with its keys in position order,
+        and comp[i] is the event of b - s.  Orthogonality is having a sum,
+        so it is read off the keys of sums[i].
 
         Neither depends on which s, t or b the walk meets, because the key row
         is linear in the atom set: s | t has the row key_rows[i] + key_rows[j],
         and b - s the row of 1_b - 1_s, which is unit - key_rows[i] because
         1_b reduces to the unit, and distinct events have distinct rows.
         """
-        width, event_of = len(self.events), self._event_of
-        orth = [[False] * width for _ in range(width)]
-        sums = [[None] * width for _ in range(width)]
-        comp = [None] * width
+        event_of = self._event_of
+        sums = [{} for _ in self.events]
+        comp = [None] * len(self.events)
         for b in self.blocks:
             for s in map(frozenset, _subsets(b)):
                 i, rest = event_of[s], frozenset(b) - s
                 comp[i] = event_of[rest]
                 for t in map(frozenset, _subsets(rest)):
-                    j = event_of[t]
-                    orth[i][j] = True
-                    sums[i][j] = event_of[s | t]
-        return orth, sums, comp
+                    sums[i][event_of[t]] = event_of[s | t]
+        # the walk meets the keys in block-subset order; the first OS3
+        # witness and the scan's tuple order follow position order
+        return [dict(sorted(p.items())) for p in sums], comp
 
     def complement(self, e: FiniteEvent) -> FiniteEvent:
-        return self.events[self.tables()[2][e.index]]
+        return self.events[self.tables()[1][e.index]]
 
     def orthogonal(self, e: FiniteEvent, f: FiniteEvent) -> bool:
-        """Orthogonal iff disjoint representatives fit in one block."""
-        return self.tables()[0][e.index][f.index]
+        """Orthogonal iff disjoint representatives fit in one block, that is iff e + f exists."""
+        return f.index in self.tables()[0][e.index]
 
     def sum(self, e: FiniteEvent, f: FiniteEvent) -> FiniteEvent:
         """e + f for orthogonal events."""
-        s = self.tables()[1][e.index][f.index]
+        s = self.tables()[0][e.index].get(f.index)
         if s is None:
             raise SumUndefinedError("events are not orthogonal")
         return self.events[s]
@@ -434,15 +436,6 @@ class FiniteLogic:
         g = math.gcd(*row)
         return tuple([v // g for v in row])
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_text(self) -> str:
-        return "\n".join("block: " + " ".join(map(str, b)) for b in self.raw_blocks) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FiniteLogic":
-        return cls(read_blocks(text))
-
 
 def read_blocks(text: str) -> list:
     """The blocks of a block file, one `block: 1 2 3` line each, as tuples of atoms."""
@@ -478,10 +471,10 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
 
     After the "structure" checks only OS3 can fail, and only by its two
     orthogonality tests: for pairwise orthogonal g, e and f, g must be
-    orthogonal to e + f and f to g + e.  They read the position tables of
-    `FiniteLogic.tables`, walking the events in order, so the first failure
-    names the same witness as a walk over the public `orthogonal` / `sum` /
-    `complement`.  `oracle_os_axioms` in the tests keeps all six axioms as
+    orthogonal to e + f and f to g + e.  They read the sum maps of
+    `FiniteLogic.tables`, whose keys are the orthogonal events, walking the
+    events in order, so the first failure names the same witness as a walk
+    over the public `orthogonal` / `sum` / `complement`.  `oracle_os_axioms` in the tests keeps all six axioms as
     such walks, and agrees.
 
     The rest holds for any list of nonempty blocks of distinct atoms,
@@ -494,8 +487,8 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
 
     OS1, symmetry: the walk visits (s, t) and (t, s), as s lies in b - t.
     OS2, a well-defined, commutative sum: every such join s | t has the row
-    r(e) + r(f), so all joins are the one event stored at (e, f) and, as
-    t | s = s | t, at (f, e).
+    r(e) + r(f), so all joins are the one event stored as sums[e][f] and,
+    as t | s = s | t, as sums[f][e].
     OS3, associativity: once g is orthogonal to e + f and f to g + e, both
     g + (e + f) and (g + e) + f have the row r(g) + r(e) + r(f).
     OS4, zero: the empty set represents 0, is disjoint from every
@@ -531,18 +524,15 @@ def check_os_axioms(logic: FiniteLogic) -> CheckReport:
     if covered != set(range(1, logic.n + 1)):
         return fail("structure", "atoms not covered by any block")
 
-    orth, sums, _ = logic.tables()
-    positions = range(len(logic.events))
-    neighbours = [[j for j in positions if row[j]] for row in orth]
-    for g in positions:
-        for e in neighbours[g]:
-            ge = sums[g][e]
-            for f in neighbours[g]:
-                if not orth[e][f]:
+    sums, _ = logic.tables()
+    for g, beside in enumerate(sums):
+        for e, ge in beside.items():
+            for f in beside:
+                if f not in sums[e]:
                     continue
-                if not orth[g][sums[e][f]]:
+                if sums[e][f] not in beside:
                     return fail("OS3", f"{name(g)} not orthogonal to {name(e)}+{name(f)}")
-                if not orth[f][ge]:
+                if ge not in sums[f]:
                     return fail("OS3", f"{name(f)} not orthogonal to {name(g)}+{name(e)}")
     return CheckReport(True)
 
@@ -603,14 +593,15 @@ def _conditional_vertex_lists(logic: FiniteLogic, e: FiniteEvent, states):
     unknown to solve for, but the pins can still break a block sum, and then
     no conditional exists.
     """
-    orth, _, comp = logic.tables()
-    below, beside = orth[comp[e.index]], orth[e.index]
+    sums, comp = logic.tables()
+    below, beside = sums[comp[e.index]], sums[e.index]
     pinned, free = [], []
     for a in range(1, logic.n + 1):
+        # an atom in no block has no event, i = None, and is free
         i = logic._event_of.get(frozenset((a,)))
-        if i is not None and below[i]:
+        if i in below:
             pinned.append(a)
-        elif i is None or not beside[i]:
+        elif i not in beside:
             free.append(a)
     pins = [[a for a in b if a in pinned] for b in logic.blocks]
     rows = [[row[a - 1] for a in free] for row in logic.block_rows()]
@@ -859,8 +850,8 @@ def finite_I3_scan(logic: FiniteLogic, conditionals=None) -> dict:
         row = [t if t is zero else [(scale // t[0]) * t[1] * c for c in t[2]] for t in terms]
         level[(g,)] = zero_row if all(t is zero for t in terms) else row
 
-    orth, sums, _ = logic.tables()
-    later = [[j for j in range(i, len(events)) if line[j]] for i, line in enumerate(orth)]
+    sums, _ = logic.tables()
+    later = [[j for j in beside if j >= i] for i, beside in enumerate(sums)]
     found = []  # (best, witness, size) of I2, then of I3
     for _ in range(2):
         best, witness, rows = 0, None, {}

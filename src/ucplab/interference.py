@@ -90,13 +90,19 @@ def _random_projections(rng, idem, parts=None):
 
     With parts=None each primitive idempotent enters one projection under an
     independent 0/1 mask.  With parts=k each is assigned to one of k bins or
-    to a leftover bin, giving k mutually orthogonal projections per trial.
+    to a leftover bin, giving k mutually orthogonal projections per trial;
+    the first min(k, n) idempotents are then dealt one to each bin, so no
+    part is zero where n >= k.  The idempotents come in eigenvalue order,
+    but the eigenvectors of these invariant random elements do not depend
+    on their eigenvalues, so dealing by index adds no bias; it draws no
+    random number, so every later draw is unchanged.
     """
     trials, n = idem.shape[:2]
     if parts is None:
         masks = [rng.integers(0, 2, (trials, n)).astype(float)]
     else:
         labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
+        labels[:, : min(parts, n)] = np.arange(min(parts, n))
         masks = [(labels == k).astype(float) for k in range(parts)]
     return [np.einsum("bi,bijkc->bjkc", mask, idem) for mask in masks]
 
@@ -133,7 +139,10 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     the third-order map.
 
     Each triple is three disjoint sums of primitive idempotents of one
-    random spectral decomposition; trials run in chunks of 200.
+    random spectral decomposition, all three nonzero where n >= 3; trials
+    run in chunks of 200.  At n = 2 the check is vacuous: a rank-2 model
+    has no three nonzero orthogonal projections, so one part of every
+    triple is zero and its I3 vanishes trivially.
     """
     rng = _rng(seed)
     worst = 0.0

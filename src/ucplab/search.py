@@ -173,7 +173,7 @@ def classify(blocks, n_atoms=None) -> dict:
     conditionals (UC2: at the vertex states, then at their barycentre),
     exact interference scan.  Oversized logics get a skip marker instead of
     the expensive stages: one with more than MAX_SCAN_EVENTS events as soon
-    as it is built, before the E x E tables of the axiom checks, and one
+    as it is built, before the sum tables of the axiom checks, and one
     with more than MAX_UC2_VERTICES vertex states after UC1.  A UC2 failure
     keeps the details of the failing states that `check_uc2` collected, at
     most `finite.MAX_UC2_FAILURES` of them.

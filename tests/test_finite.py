@@ -481,8 +481,8 @@ def definition_conditionals(logic, e):
     verts = logic.state_vertices()
     if not verts:
         return {}, None
-    orth, _, comp = logic.tables()
-    subs = [row for f, row in enumerate(logic.key_rows) if orth[f][comp[e.index]]]
+    sums, comp = logic.tables()
+    subs = [row for f, row in enumerate(logic.key_rows) if f in sums[comp[e.index]]]
     rows = logic.block_rows() + [list(row[1:]) for row in subs]
     mean = [sum(v[a] for v in verts) / len(verts) for a in range(logic.n)]
     states = [logic.state_row(v) for v in verts] + [logic.state_row(mean)]
@@ -742,17 +742,16 @@ def test_weights_that_are_not_exact_rationals_are_rejected():
     assert logic.state_row((F(1, 2), 0, F(1, 2))) == (2, 1, 0, 1)
 
 
-def test_text_roundtrip():
-    logic = FiniteLogic(PASTED)
-    text = logic.to_text()
-    again = FiniteLogic.from_text(text + "# trailing comment\n")
-    assert finite.read_blocks(text) == PASTED
-    assert again.blocks == logic.blocks
-    assert len(again.events) == len(logic.events)
+def test_read_blocks_reads_a_block_file():
+    text = "# two triangles\nblock: 1 2 3\n\n  block: 3 4 5  # sharing atom 3\n# trailing comment\n"
+    blocks = finite.read_blocks(text)
+    assert blocks == PASTED
+    assert FiniteLogic(blocks).blocks == FiniteLogic(PASTED).blocks
+    assert finite.read_blocks("") == []
 
 
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        FiniteLogic.from_text("not a block line")
-    with pytest.raises(ValueError):
-        FiniteLogic.from_text("block: 0 1")
+def test_read_blocks_rejects_garbage():
+    with pytest.raises(ValueError, match="unrecognized line"):
+        finite.read_blocks("not a block line")
+    with pytest.raises(ValueError, match="1-based"):
+        finite.read_blocks("block: 0 1")

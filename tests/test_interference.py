@@ -48,6 +48,7 @@ from ucplab.jordan import (
     _jp,
     _matmul,
     _separated_spectral_batch,
+    _trace,
     _u_dense,
     coords,
     hermitian_basis,
@@ -225,6 +226,24 @@ def test_quadratic_map_matches_element_oracle(level, n):
         x = random_element(desc, rng_seed=70 + k)
         got = quadratic_map_U(e, x).entries
         assert np.abs(got - u_apply(e.entries, x.entries)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("level,n", [("R", 3), ("C", 4), ("H", 3), ("O", 3)])
+def test_random_projections_deal_every_part_an_idempotent(level, n, parts):
+    # a zero part makes an I3 or lemma check hold trivially; where n allows,
+    # every part gets at least one primitive idempotent, so trace >= 1
+    desc = AlgebraDescriptor(level, n)
+    rng, twin = np.random.default_rng(90), np.random.default_rng(90)
+    projections = _random_projections(rng, _separated_spectral_batch(desc, rng, 200), parts=parts)
+    assert len(projections) == parts
+    for p in projections:
+        assert (_trace(p) >= 1 - 1e-9).all()
+    # the dealing draws no random number: the generator is where one draw
+    # of bin labels leaves it
+    _separated_spectral_batch(desc, twin, 200)
+    twin.integers(0, parts + 1, (200, n))
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -599,9 +618,9 @@ def test_sorkin_level_rows_are_the_signed_subset_sums(name):
             for _ in range(n_vertices)
         ]
         y[(g,)] = zero_row if rng.random() < 0.2 else row
-    orth, sums, _ = logic.tables()
+    sums, _ = logic.tables()
     width = len(logic.events)
-    later = [[j for j in range(i, width) if line[j]] for i, line in enumerate(orth)]
+    later = [[j for j in range(i, width) if j in sums[i]] for i in range(width)]
     pairs = dict(_sorkin_level(y, later, sums, zero, zero_row))
     triples = dict(_sorkin_level(pairs, later, sums, zero, zero_row))
     for level, tuples in zip((pairs, triples), oracle_tuples(logic)):

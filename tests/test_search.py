@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import re
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,7 @@ def test_classify_solves_each_conditional_polytope_once(monkeypatch):
 
 
 PENTAGON = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9), (9, 10, 1)]
+PENTAGON_TEXT = "block: 1 2 3\nblock: 3 4 5\nblock: 5 6 7\nblock: 7 8 9\nblock: 9 10 1\n"
 PENTAGON_SHA256 = "5d98eefc7a0945515f39bf577f03ae7f0ed827fe43d0cdfab2cc073879f5a615"
 
 
@@ -197,7 +201,7 @@ def test_classify_pentagon_stops_at_the_fifth_uc2_failure(monkeypatch):
 
 def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
     path = tmp_path / "pentagon.txt"
-    path.write_text(finite.FiniteLogic(PENTAGON).to_text())
+    path.write_text(PENTAGON_TEXT)
     assert main(["classify", "--logic", str(path)]) == 1
     line = capsys.readouterr().out
     assert line == json.dumps(classify(PENTAGON), sort_keys=True) + "\n"
@@ -209,7 +213,7 @@ def test_cli_classify_logic_file_reproduces_the_record(tmp_path, capsys):
 
 def test_cli_classify_builds_the_logic_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "pentagon.txt"
-    path.write_text(finite.FiniteLogic(PENTAGON).to_text())
+    path.write_text(PENTAGON_TEXT)
     builds = []
     init = finite.FiniteLogic.__init__
 
@@ -246,8 +250,8 @@ def test_oversized_logic_is_skipped_before_uc2(monkeypatch, tmp_path, capsys, li
 
 
 def test_too_many_events_are_skipped_before_the_event_tables(monkeypatch):
-    # one 12-atom block has 4096 events; its E x E tables would take
-    # 16.8 million entries, so the size check must come before them
+    # one 12-atom block has 4096 events; its sum tables would hold one entry
+    # per orthogonal pair, 3^12 = 531 441, so the size check must come first
     def tables(self):
         raise AssertionError("tables() built for an oversized logic")
 
@@ -259,6 +263,19 @@ def test_too_many_events_are_skipped_before_the_event_tables(monkeypatch):
         "n_events": 4096,
         "skipped": "size",
     }
+
+
+def test_a_large_atom_label_costs_no_quadratic_table():
+    # only the three atoms of the blocks are ever summed; a row per label up
+    # to 3000 would be a 3001 x 3001 table, about 70 MB
+    tracemalloc.start()
+    try:
+        record = classify([(1, 2), (2, 3000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record["failure"] == {"stage": "structure", "witness": "atoms not covered by any block"}
+    assert peak < 5e6
 
 
 def test_classify_pasting_short_circuits_at_uc2():
@@ -346,6 +363,21 @@ PINNED_JSONL = {
         "5b2d8d0c160b8e998ff85364c5d125ca6c463a959460200299f287fc9c1dc33a"
     ),
 }
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def test_workflow_digests_are_the_pinned_ones():
+    # the numpy-free CI job copies digests from this file; a re-pin must
+    # update both sides.  Plain `re`: the CI test job installs no PyYAML.
+    text = WORKFLOW.read_text()
+    digests = re.findall(r"\b[0-9a-f]{64}\b", text)
+    assert len(digests) >= 3
+    for digest in digests:
+        assert digest in PINNED_JSONL.values() or digest == PENTAGON_SHA256
+    # the job writes the pentagon file that PENTAGON_SHA256 is the record of
+    assert "printf '" + PENTAGON_TEXT.replace("\n", "\\n") + "'" in text
 
 
 def _weights(row):
