@@ -48,16 +48,16 @@ from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     _from_coords,
-    _identity,
     _inner,
     _jp,
     _matmul,
     _norm,
+    _random_densities,
     _random_elements,
     _require_events,
     _rng,
+    _scale_identity,
     _separated_spectral_batch,
-    _trace,
     _u_dense,
     coords,
 )
@@ -85,26 +85,29 @@ def _worst(arr) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _random_projections(rng, idem, parts=None):
-    """Projections summed from one spectral batch `idem` (trials, n, n, n, d).
+def _random_projections(rng, idem, parts):
+    """`parts` mutually orthogonal projections summed from one spectral batch
+    `idem` (trials, n, n, n, d).
 
-    With parts=None each primitive idempotent enters one projection under an
-    independent 0/1 mask.  With parts=k each is assigned to one of k bins or
-    to a leftover bin, giving k mutually orthogonal projections per trial;
-    the first min(k, n) idempotents are then dealt one to each bin, so no
-    part is zero where n >= k.  The idempotents come in eigenvalue order,
-    but the eigenvectors of these invariant random elements do not depend
-    on their eigenvalues, so dealing by index adds no bias; it draws no
-    random number, so every later draw is unchanged.
+    Each primitive idempotent is assigned to one of the `parts` bins or to a
+    leftover bin, and the first min(parts + 1, n) idempotents are then dealt
+    one to each bin, the leftover bin last.  So no part is zero where
+    n >= parts, and where n > parts the parts never sum to 1: with parts=1
+    no event is 0 or 1 once n >= 2, so no identity about it holds
+    trivially.  The price is a fixed rank pattern at n = parts + 1, where
+    every part and the leftover have rank 1: lemma pairs at n = 3 and
+    triples at n = 4 are never complete, and no triple has a rank-2 part.
+    Complete triples of nonzero parts are drawn only at n = 3, all of rank 1.
+
+    The idempotents come in eigenvalue order, but the eigenvectors of these
+    invariant random elements do not depend on their eigenvalues, so
+    dealing by index adds no bias; it draws no random number, so every
+    later draw is unchanged.
     """
     trials, n = idem.shape[:2]
-    if parts is None:
-        masks = [rng.integers(0, 2, (trials, n)).astype(float)]
-    else:
-        labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
-        labels[:, : min(parts, n)] = np.arange(min(parts, n))
-        masks = [(labels == k).astype(float) for k in range(parts)]
-    return [np.einsum("bi,bijkc->bjkc", mask, idem) for mask in masks]
+    labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
+    labels[:, : min(parts + 1, n)] = np.arange(min(parts + 1, n))
+    return [np.einsum("bi,bijkc->bjkc", (labels == k).astype(float), idem) for k in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,9 @@ def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
     """(rho, e, f) raw batches of `count` random states and events.
 
     With classical=True everything is diagonal: rho is a random probability
-    vector and e, f are independent 0/1 masks.
+    vector and e, f are independent 0/1 masks.  They may be 0 or 1: the
+    diagonal frame is fixed, so dealing by index as `_random_projections`
+    does would favour the first diagonal directions.
     """
     if classical:
         n = desc.n
@@ -237,11 +242,9 @@ def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
         e[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         f[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         return rho, e, f
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count))
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count))
-    x = _random_elements(desc, rng, count)
-    sq = _matmul(x, x)
-    return sq / _trace(sq)[:, None, None, None], e, f
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count), 1)
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count), 1)
+    return _random_densities(desc, rng, count), e, f
 
 
 def corridor_samples(desc: AlgebraDescriptor, trials: int, seed=0, classical=False, tol=1e-9):
@@ -293,7 +296,7 @@ def _symmetry_defects(e, f, desc: AlgebraDescriptor) -> dict:
     """Defect coordinate columns (..., D, 1) of the identities named in
     `symmetry_battery`, listed under its keys, for raw (batched)
     projections e and f."""
-    one = _identity(desc)
+    one = _scale_identity(desc, 1.0)
     u_e, u_ec = _u_dense(desc, e), _u_dense(desc, one - e)
     u_f, u_fc = _u_dense(desc, f), _u_dense(desc, one - f)
     c_one, ce, cf = (coords(a, desc)[..., None] for a in (one, e, f))
@@ -347,8 +350,8 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     `anticommutator_form` (both sides equal e + f - ef - fe).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
     defects = _symmetry_defects(e, f, desc)
     return {key: max(_worst(d) for d in arrays) for key, arrays in defects.items()}
 
@@ -375,8 +378,8 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     above 1) and `witness_gap` (T_e e = e, so the norm 1 is attained).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials))
-    u_e, u_ec = _u_dense(desc, e), _u_dense(desc, _identity(desc) - e)
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
+    u_e, u_ec = _u_dense(desc, e), _u_dense(desc, _scale_identity(desc, 1.0) - e)
     t_e = _t_dense(u_e, u_ec)
 
     eigs = np.linalg.eigvalsh(t_e)
@@ -410,7 +413,7 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
       g) operator norm of T_e: witness T_e e = e, sampled unit ball stays below 1
     """
     rng = _rng(seed)
-    one = _identity(desc)
+    one = _scale_identity(desc, 1.0)
     idem = _separated_spectral_batch(desc, rng, trials)
     e, f = _random_projections(rng, idem, parts=2)
     x = _random_elements(desc, rng, trials)

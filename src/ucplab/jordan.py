@@ -159,13 +159,6 @@ def _inner(a, b):
     return np.einsum("...ijc,...ijc->...", a, b)
 
 
-def _identity(desc: AlgebraDescriptor):
-    out = np.zeros((desc.n, desc.n, desc.d))
-    idx = np.arange(desc.n)
-    out[idx, idx, 0] = 1.0
-    return out
-
-
 def _scale_identity(desc, values):
     """values (...,) -> (..., n, n, d) multiples of the identity."""
     values = np.asarray(values, dtype=float)
@@ -366,7 +359,7 @@ class SpectralForm:
 
 
 def identity(desc: AlgebraDescriptor) -> AlgebraElement:
-    return AlgebraElement(desc, _identity(desc))
+    return AlgebraElement(desc, _scale_identity(desc, 1.0))
 
 
 def zero(desc: AlgebraDescriptor) -> AlgebraElement:
@@ -469,6 +462,17 @@ def _random_elements(desc, rng, count=None):
     return _hermitize(rng.standard_normal(shape))
 
 
+def _random_densities(desc, rng, count):
+    """`count` positive trace-one densities x o x / trace(x o x) of random x.
+
+    Every nonzero x gives a density, as the ratio does not change when x is
+    scaled; x = 0 has probability 0, so no draw is rejected.
+    """
+    x = _random_elements(desc, rng, count)
+    sq = _matmul(x, x)
+    return sq / _trace(sq)[:, None, None, None]
+
+
 def random_element(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
     return AlgebraElement(desc, _random_elements(desc, _rng(rng_seed)))
 
@@ -506,15 +510,8 @@ def random_projection(desc: AlgebraDescriptor, rank: int, rng_seed=0) -> Algebra
 
 
 def random_state_density(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
-    """Positive trace-one density x o x / trace(x o x) from a random draw."""
-    rng = _rng(rng_seed)
-    for _ in range(64):
-        x = _random_elements(desc, rng)
-        sq = _matmul(x, x)
-        t = float(_trace(sq))
-        if t > 1e-8:
-            return AlgebraElement(desc, sq / t)
-    raise RuntimeError("degenerate draws for random state")
+    """One positive trace-one density: a batch of one `_random_densities`."""
+    return AlgebraElement(desc, _random_densities(desc, _rng(rng_seed), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,8 @@
 """Interference operators, corridor bounds and the identity batteries."""
 
-import functools
-import gc
-import random
-import re
-import weakref
-from fractions import Fraction
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ucplab.finite import FiniteLogic, _sorkin_level, conditional_table, finite_I3_scan
 from ucplab.interference import (
     I2_scalar,
     I3_scalar,
@@ -29,7 +19,6 @@ from ucplab.interference import (
 )
 from ucplab import interference
 from ucplab.interference import (
-    _alternating_subsets,
     _corridor_draw,
     _interference_dense,
     _random_projections,
@@ -43,10 +32,10 @@ from ucplab.jordan import (
     _eigenvalues_raw,
     _from_coords,
     _hermitize,
-    _identity,
     _inner,
     _jp,
     _matmul,
+    _scale_identity,
     _separated_spectral_batch,
     _trace,
     _u_dense,
@@ -81,7 +70,7 @@ def basis_image_u_dense(desc, g):
 def element_symmetry_defects(e, f, desc):
     """Oracle for `_symmetry_defects`: the same defects as elements, with
     every compression applied by `u_apply`."""
-    one = _identity(desc)
+    one = _scale_identity(desc, 1.0)
     lhs = u_apply(e, one - f) + u_apply(one - e, f)
     rhs = u_apply(f, one - e) + u_apply(one - f, e)
     ue_f, uec_f = u_apply(e, f), u_apply(one - e, f)
@@ -239,11 +228,26 @@ def test_random_projections_deal_every_part_an_idempotent(level, n, parts):
     assert len(projections) == parts
     for p in projections:
         assert (_trace(p) >= 1 - 1e-9).all()
+    # where n > parts one idempotent is left out: parts that sum to 1 make
+    # the lemma and I3 checks on their complement hold trivially
+    if n > parts:
+        assert (sum(_trace(p) for p in projections) <= n - 1 + 1e-9).all()
     # the dealing draws no random number: the generator is where one draw
     # of bin labels leaves it
     _separated_spectral_batch(desc, twin, 200)
     twin.integers(0, parts + 1, (200, n))
     assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("level,n", [("R", 2), ("C", 3), ("H", 3), ("O", 3), ("C", 4)])
+def test_random_projections_draw_no_event_zero_or_one(level, n):
+    # the single events of the symmetry, T_e and corridor draws: an event 0
+    # or 1 makes every identity about it hold trivially
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(91)
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 200), 1)
+    assert (_trace(e) >= 1 - 1e-9).all()
+    assert (_trace(e) <= n - 1 + 1e-9).all()
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -252,7 +256,7 @@ def test_interference_dense_matches_written_out_sums(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(80)
     a, b, c = (
-        _random_projections(rng, _separated_spectral_batch(desc, rng, 4))[0] for _ in range(3)
+        _random_projections(rng, _separated_spectral_batch(desc, rng, 4), 1)[0] for _ in range(3)
     )
     u = lambda g: _u_dense(desc, g)  # noqa: E731
     two = u(a + b) - u(a) - u(b)
@@ -306,10 +310,20 @@ def test_corridor_p_matches_two_compression_oracle(level, n):
     # p = mu(U_e f) + mu(U_e' f) with each compression applied on its own
     desc = AlgebraDescriptor(level, n)
     rho, e, f = _corridor_draw(desc, np.random.default_rng(15), 200, classical=False)
-    p = _inner(rho, u_apply(e, f)) + _inner(rho, u_apply(_identity(desc) - e, f))
+    p = _inner(rho, u_apply(e, f)) + _inner(rho, u_apply(_scale_identity(desc, 1.0) - e, f))
     points = corridor_samples(desc, 200, seed=15)
     assert np.abs(np.array([pt.p for pt in points]) - p).max() <= 1e-13
     assert [pt.q for pt in points] == _inner(rho, f).tolist()
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_corridor_draw_has_no_event_zero_or_one(level, n):
+    # with e or f equal to 0 or 1 the corridor point sits on q = p trivially
+    desc = AlgebraDescriptor(level, n)
+    rho, e, f = _corridor_draw(desc, np.random.default_rng(16), 200, classical=False)
+    for event in (e, f):
+        assert (_trace(event) >= 1 - 1e-9).all()
+        assert (_trace(event) <= n - 1 + 1e-9).all()
 
 
 @pytest.mark.parametrize("classical", [False, True])
@@ -393,8 +407,8 @@ def test_a1_and_eq10_reject_events_of_another_model():
 def test_symmetry_defects_match_element_oracle(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(21)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50))
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50))
+    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50), 1)
+    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50), 1)
     got = _symmetry_defects(e, f, desc)
     expected = element_symmetry_defects(e, f, desc)
     assert list(got) == list(expected)
@@ -436,234 +450,3 @@ def test_t_structure(level, n):
     assert res["partition"] <= 1e-10
     assert res["norm_excess"] <= 1e-9
     assert res["witness_gap"] <= 1e-10
-
-
-def test_finite_scan_boolean_exact_zero():
-    report = finite_I3_scan(FiniteLogic([(1, 2, 3)]))
-    assert report["max_abs_i2"] == Fraction(0)
-    assert report["max_abs_i3"] == Fraction(0)
-    assert (report["pairs"], report["triples"]) == (14, 15)
-
-
-def test_finite_scan_frees_the_logic_without_the_cycle_collector():
-    # a reference cycle from the scan would keep the logic and its exact
-    # tables alive until the next collection, across a whole search
-    logic = FiniteLogic([(1, 2, 3, 4)])
-    gc.disable()
-    try:
-        finite_I3_scan(logic)
-        ref = weakref.ref(logic)
-        del logic
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-def test_finite_scan_pasted_regression():
-    # UC2-uniqueness fails on this logic, so its table lacks the
-    # conditionals that are not unique, and I2 and I3 are not defined there:
-    # the scan refuses the table instead of reporting over what is left
-    with pytest.raises(ValueError, match=r"no conditional under event \{1\} at vertex state 3"):
-        finite_I3_scan(FiniteLogic([(1, 2, 3), (3, 4, 5)]))
-
-
-def test_finite_scan_rejects_a_table_with_a_missing_conditional():
-    logic = FiniteLogic([(1, 2, 3)])
-    table = conditional_table(logic)
-    for gi, vi in table:
-        incomplete = {key: row for key, row in table.items() if key != (gi, vi)}
-        label = re.escape(logic.events[gi].label())
-        with pytest.raises(ValueError, match=rf"under event {label} at vertex state {vi},"):
-            finite_I3_scan(logic, incomplete)
-
-
-def oracle_I3_scan(logic, conditionals):
-    """The scan as nested loops over Fraction values: re-evaluates every term."""
-    verts = logic.state_vertices()
-    events = logic.events
-
-    def term(g, vi, mu, f):
-        pg = logic.evaluate(mu, g)
-        if pg == 0:
-            return Fraction(0)
-        nu = conditionals[(g.index, vi)]  # a state row (W, W w_1, ..., W w_n)
-        return pg * logic.evaluate([Fraction(v, nu[0]) for v in nu[1:]], f)
-
-    def scan_tuples(tuples):
-        best = Fraction(0)
-        witness = None
-        for parts, groups in tuples:
-            for vi, mu in enumerate(verts):
-                for f in events:
-                    total = Fraction(0)
-                    for sign, g in groups:
-                        total += sign * term(g, vi, mu, f)
-                    if abs(total) > abs(best):
-                        best = total
-                        witness = {
-                            "events": [list(p.atoms) for p in parts],
-                            "f": list(f.atoms),
-                            "state_vertex": vi,
-                            "value": str(total),
-                        }
-        return best, witness
-
-    pair_tuples, triple_tuples = oracle_tuples(logic)
-    max_i2, wit_i2 = scan_tuples(pair_tuples)
-    max_i3, wit_i3 = scan_tuples(triple_tuples)
-    return {
-        "max_abs_i2": max_i2,
-        "i2_witness": wit_i2,
-        "max_abs_i3": max_i3,
-        "i3_witness": wit_i3,
-        "pairs": len(pair_tuples),
-        "triples": len(triple_tuples),
-        "vertex_states": len(verts),
-    }
-
-
-def oracle_tuples(logic):
-    """(pairs, triples) of mutually orthogonal events as nested loops, each a
-    (parts, signed groups) with the groups of I2 and I3 written out."""
-    events = logic.events
-    pair_tuples = []
-    for i, e1 in enumerate(events):
-        for e2 in events[i:]:
-            if logic.orthogonal(e1, e2):
-                pair_tuples.append(((e1, e2), [(1, logic.sum(e1, e2)), (-1, e1), (-1, e2)]))
-    triple_tuples = []
-    for i, e1 in enumerate(events):
-        for j, e2 in enumerate(events[i:], start=i):
-            if not logic.orthogonal(e1, e2):
-                continue
-            s12 = logic.sum(e1, e2)
-            for e3 in events[j:]:
-                if not (logic.orthogonal(e1, e3) and logic.orthogonal(e2, e3)):
-                    continue
-                if not logic.orthogonal(s12, e3):
-                    continue
-                groups = [
-                    (1, logic.sum(s12, e3)),
-                    (-1, s12),
-                    (-1, logic.sum(e1, e3)),
-                    (-1, logic.sum(e2, e3)),
-                    (1, e1),
-                    (1, e2),
-                    (1, e3),
-                ]
-                triple_tuples.append(((e1, e2, e3), groups))
-    return pair_tuples, triple_tuples
-
-
-def perturbed_table(logic, seed):
-    """A complete table: every (g, v) with mu_v(g) > 0 sent to a random vertex state row."""
-    rng = np.random.default_rng(seed)
-    states, numerators, _ = logic.vertex_values()
-    return {
-        (gi, vi): states[rng.integers(len(states))]
-        for gi, row in enumerate(numerators)
-        for vi, p in enumerate(row)
-        if p > 0
-    }
-
-
-def assert_scan_matches_oracle(logic, table):
-    """The scan equals the oracle on a complete table and refuses an incomplete one."""
-    if table.keys() == perturbed_table(logic, 0).keys():
-        assert finite_I3_scan(logic, table) == oracle_I3_scan(logic, table)
-    else:
-        with pytest.raises(ValueError, match="no conditional under event"):
-            finite_I3_scan(logic, table)
-
-
-ORACLE_LOGICS = {
-    "boolean3": [(1, 2, 3)],
-    "boolean4": [(1, 2, 3, 4)],
-    "pasting": [(1, 2, 3), (3, 4, 5)],
-    "triangle": [(1, 2, 3), (3, 4, 5), (5, 6, 1)],
-    "square": [(1, 2), (2, 3), (3, 4), (4, 1)],
-    # inconsistent block relations collapse every event into 0 = 1, so the
-    # logic has one event and no vertex state
-    "stateless": [(1,), (1, 2), (2,)],
-    # a triple (a, b, c) of this logic has a + b after c in event order, so
-    # the I3 walk must sort the key of I2(a + b, c)
-    "sum_after_c": [(5, 1, 2), (3, 2), (4,), (1, 3)],
-}
-
-
-@pytest.mark.parametrize("name", ORACLE_LOGICS)
-def test_finite_scan_matches_oracle(name):
-    logic = FiniteLogic(ORACLE_LOGICS[name])
-    tables = [conditional_table(logic)] + [perturbed_table(logic, seed) for seed in range(2)]
-    for table in tables:
-        assert_scan_matches_oracle(logic, table)
-
-
-@pytest.mark.parametrize("name", ORACLE_LOGICS)
-def test_sorkin_level_rows_are_the_signed_subset_sums(name):
-    # random level-1 vectors, some of them the shared zero and some rows the
-    # shared zero row; every row of I2 and I3 must be the signed sum of I_k
-    # over the tuple's subsets, in the oracle's walk order
-    logic = FiniteLogic(ORACLE_LOGICS[name])
-    rng = random.Random(name)
-    n_vertices, zero = 3, [0, 0, 0]
-    zero_row = [zero] * n_vertices
-    y = {}
-    for g in range(len(logic.events)):
-        # a nonzero first entry keeps a drawn vector distinct from zero
-        row = [
-            zero
-            if rng.random() < 0.3
-            else [rng.choice([-2, -1, 1, 2]), *rng.choices(range(-2, 3), k=2)]
-            for _ in range(n_vertices)
-        ]
-        y[(g,)] = zero_row if rng.random() < 0.2 else row
-    sums, _ = logic.tables()
-    width = len(logic.events)
-    later = [[j for j in range(i, width) if j in sums[i]] for i in range(width)]
-    pairs = dict(_sorkin_level(y, later, sums, zero, zero_row))
-    triples = dict(_sorkin_level(pairs, later, sums, zero, zero_row))
-    for level, tuples in zip((pairs, triples), oracle_tuples(logic)):
-        assert list(level) == [tuple(e.index for e in parts) for parts, _ in tuples]
-        for parts, row in level.items():
-            events = [logic.events[p] for p in parts]
-            expected = []
-            for vi in range(n_vertices):
-                total = [0, 0, 0]
-                for sign, subset in _alternating_subsets(events):
-                    g = functools.reduce(logic.sum, subset).index
-                    total = [t + sign * c for t, c in zip(total, y[(g,)][vi])]
-                expected.append(total)
-            assert row == expected
-            assert all(x is zero for x in row if not any(x))
-            assert (row is zero_row) == (not any(map(any, row)))
-
-
-def test_finite_scan_oracle_cases_reach_signed_witnesses():
-    # The real tables give zeros everywhere; the perturbed ones must exercise
-    # the signed maxima and the witness values.
-    logic = FiniteLogic(ORACLE_LOGICS["boolean4"])
-    reports = [finite_I3_scan(logic, perturbed_table(logic, seed)) for seed in range(2)]
-    assert any(r["max_abs_i2"] < 0 for r in reports)
-    assert any(r["max_abs_i3"] < 0 and r["i3_witness"]["value"].startswith("-") for r in reports)
-
-
-def _compact(blocks):
-    """The blocks with their atoms renumbered 1..k in order, so they cover."""
-    label = {a: i for i, a in enumerate(sorted({a for b in blocks for a in b}), start=1)}
-    return [tuple(label[a] for a in b) for b in blocks]
-
-
-# small block lists: 1-3 blocks of 1-4 distinct atoms over at most 5, with
-# overlaps, nesting and OS3 failures
-SMALL_BLOCKS = st.lists(
-    st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True), min_size=1, max_size=3
-).map(_compact)
-
-
-@settings(max_examples=12, deadline=None)
-@given(SMALL_BLOCKS)
-def test_finite_scan_matches_oracle_on_small_block_lists(blocks):
-    logic = FiniteLogic(blocks)
-    for table in (conditional_table(logic), perturbed_table(logic, 0)):
-        assert_scan_matches_oracle(logic, table)

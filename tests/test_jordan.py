@@ -16,10 +16,10 @@ from ucplab.jordan import (
     NonHermitianError,
     _cubic_roots,
     _eigenvalues_raw,
-    _identity,
     _jp,
     _lagrange_idempotents,
     _matmul,
+    _random_densities,
     _random_elements,
     _scale_identity,
     _separated_spectral_batch,
@@ -74,7 +74,7 @@ def product_lagrange_idempotents(x, eigvals, desc):
             factor = (x - _scale_identity(desc, eigvals[..., j])) / gap[..., None, None, None]
             acc = factor if acc is None else _jp(acc, factor)
         if acc is None:  # m == 1
-            acc = np.broadcast_to(_identity(desc), x.shape).copy()
+            acc = np.broadcast_to(_scale_identity(desc, 1.0), x.shape).copy()
         parts.append(acc)
     return np.stack(parts, axis=-4)
 
@@ -236,9 +236,17 @@ def test_random_projection_is_idempotent(level, n):
 
 @pytest.mark.parametrize("level,n", MODELS)
 def test_random_state_density_is_a_state(level, n):
-    rho = random_state_density(AlgebraDescriptor(level, n), rng_seed=4)
+    desc = AlgebraDescriptor(level, n)
+    rho = random_state_density(desc, rng_seed=4)
     assert trace(rho) == pytest.approx(1.0)
     assert is_positive(rho, tol=1e-10)
+    # the one density draw: the single state is the first of a batch
+    batch = _random_densities(desc, np.random.default_rng(4), 50)
+    assert np.array_equal(batch[0], rho.entries)
+    for entries in batch:
+        rho = AlgebraElement(desc, entries)
+        assert trace(rho) == pytest.approx(1.0)
+        assert is_positive(rho, tol=1e-10)
 
 
 @pytest.mark.parametrize("level,n", MODELS)
@@ -350,7 +358,7 @@ def spectral_draws(desc, kind, count=100, seed=31):
     else:
         x = _random_elements(desc, rng, count)
         if kind == "shifted":
-            x = x + 50.0 * _identity(desc)
+            x = x + _scale_identity(desc, 50.0)
     return x, _eigenvalues_raw(x, desc)
 
 
@@ -375,7 +383,7 @@ def test_power_basis_idempotents(level, n, kind):
         assert np.abs(_matmul(idem[:, i], idem[:, i]) - idem[:, i]).max() <= defect
         for j in range(i + 1, n):
             assert np.abs(_jp(idem[:, i], idem[:, j])).max() <= defect
-    assert np.abs(idem.sum(axis=1) - _identity(desc)).max() <= defect
+    assert np.abs(idem.sum(axis=1) - _scale_identity(desc, 1.0)).max() <= defect
 
 
 @pytest.mark.parametrize("rank", ["one", "corank_one"])

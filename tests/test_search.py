@@ -86,16 +86,15 @@ def test_enumerate_dedups_relabelings():
     assert pastings == [((1, 2, 3), (1, 4, 5))]
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        SearchConfig(5, 3, 2, 3),
-        SearchConfig(5, 4, 2, 2),
-        SearchConfig(6, 2, 2, 4),
-        SearchConfig(6, 3),
-    ],
-    ids=str,
-)
+ORACLE_CONFIGS = [
+    SearchConfig(5, 3, 2, 3),
+    SearchConfig(5, 4, 2, 2),
+    SearchConfig(6, 2, 2, 4),
+    SearchConfig(6, 3),
+]
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
 def test_enumerate_matches_canonical_form_oracle(config):
     assert enumerate_logics(config) == oracle_enumerate(config)
 
@@ -380,6 +379,14 @@ def test_workflow_digests_are_the_pinned_ones():
     assert "printf '" + PENTAGON_TEXT.replace("\n", "\\n") + "'" in text
 
 
+def _search_config(args):
+    """The `SearchConfig` of a `ucplab search` argument string."""
+    parsed = build_parser().parse_args(["search", *args.split()])
+    return SearchConfig(
+        parsed.max_atoms, parsed.blocks, parsed.block_size_min, parsed.block_size_max
+    )
+
+
 def _weights(row):
     """The weight vector of a state row (W, W w_1, ..., W w_n)."""
     return tuple(Fraction(v, row[0]) for v in row[1:])
@@ -390,11 +397,7 @@ def test_solver_rows_are_the_state_rows_of_their_weights(args):
     # the exact layer keeps every state as an integer row; each must be the
     # `state_row` of its weights, so in lowest terms.  Conditionals are
     # checked below 10 atoms, where all of them take 3 s.
-    parsed = build_parser().parse_args(["search", *args.split()])
-    config = SearchConfig(
-        parsed.max_atoms, parsed.blocks, parsed.block_size_min, parsed.block_size_max
-    )
-    for n_atoms, blocks in enumerate_logics(config):
+    for n_atoms, blocks in enumerate_logics(_search_config(args)):
         logic = finite.FiniteLogic(blocks, n_atoms)
         states = logic.vertex_values()[0]
         assert [_weights(row) for row in states] == logic.state_vertices()
@@ -417,3 +420,56 @@ def test_search_jsonl_digest_is_pinned(tmp_path, capsys, args):
     records = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
     ucp = [r for r in records if r.get("uc2_pass")]
     assert ucp and all(r["n_events"] == 2 ** r["n_states"] for r in ucp)
+
+
+def _pinned_configs():
+    """Every configuration pinned or oracle-checked in this module."""
+    yield from map(_search_config, PINNED_JSONL)
+    yield from PINNED_ENUMERATIONS
+    yield from ORACLE_CONFIGS
+
+
+def _pasting_event_count(n_atoms, blocks):
+    """Events of the pasting of the blocks: 0, 1, each atom, each atom's
+    complement, and each other subset of a block."""
+    inner = {
+        frozenset(s)
+        for b in blocks
+        for size in range(2, len(b) - 1)
+        for s in itertools.combinations(b, size)
+    }
+    return 2 + 2 * n_atoms + len(inner)
+
+
+def _has_3_loop(blocks):
+    """Three blocks that meet pairwise in three distinct atoms."""
+    return any(
+        len({x, y, z}) == 3
+        for a, b, c in itertools.combinations(map(set, blocks), 3)
+        for x in a & b
+        for y in b & c
+        for z in c & a
+    )
+
+
+def test_os3_fails_exactly_on_proper_pastings_with_a_3_loop():
+    # Greechie's loop lemma (J. Combin. Theory A 10, 1971): blocks that meet
+    # in at most one atom and form no loop of order 3 paste to an
+    # orthomodular poset, and a 3-loop breaks OS3.  The lab identifies events
+    # whose functionals agree, so the lemma speaks only of the block lists
+    # where it keeps every event of the pasting.  This oracle shares no code
+    # with the OS3 walk of `check_os_axioms`.
+    tally = {True: 0, False: 0}
+    for config in _pinned_configs():
+        for n_atoms, blocks in enumerate_logics(config):
+            logic = finite.FiniteLogic(blocks, n_atoms)
+            if len(logic.events) != _pasting_event_count(n_atoms, blocks):
+                continue
+            loop = _has_3_loop(blocks)
+            report = finite.check_os_axioms(logic)
+            assert report.passed != loop, (blocks, report)
+            assert report.passed or report.axiom == "OS3", (blocks, report)
+            tally[loop] += 1
+    # both sides of the lemma are reached: 108 proper pastings, counted once
+    # per configuration; 2-atom blocks give none
+    assert tally == {True: 44, False: 64}
