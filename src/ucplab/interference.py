@@ -48,8 +48,11 @@ from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     _from_coords,
+    _hermitize,
     _inner,
     _jp,
+    _lagrange_basis,
+    _lagrange_polynomial,
     _matmul,
     _norm,
     _random_densities,
@@ -65,7 +68,7 @@ from .model import State
 
 
 # Trials per batch in `corridor_samples`, which bounds its memory: H_3(O)
-# holds about 10 KB per trial in flight.
+# holds about 4 KB per trial in flight.
 CORRIDOR_CHUNK = 4096
 
 
@@ -85,9 +88,10 @@ def _worst(arr) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _random_projections(rng, idem, parts):
-    """`parts` mutually orthogonal projections summed from one spectral batch
-    `idem` (trials, n, n, n, d).
+def _random_projections(rng, desc: AlgebraDescriptor, basis, parts):
+    """`parts` mutually orthogonal projections dealt from one spectral batch,
+    given as the shared powers and Lagrange coefficients `basis` of
+    `jordan._lagrange_basis` (coefficients (trials, n, n)).
 
     Each primitive idempotent is assigned to one of the `parts` bins or to a
     leftover bin, and the first min(parts + 1, n) idempotents are then dealt
@@ -99,15 +103,27 @@ def _random_projections(rng, idem, parts):
     triples at n = 4 are never complete, and no triple has a rank-2 part.
     Complete triples of nonzero parts are drawn only at n = 3, all of rank 1.
 
+    A part is the one Lagrange polynomial whose coefficients are the sum of
+    the rows dealt to it, so no idempotent is formed on its own; each part
+    comes back as its own contiguous, hermitized array.
+
     The idempotents come in eigenvalue order, but the eigenvectors of these
     invariant random elements do not depend on their eigenvalues, so
     dealing by index adds no bias; it draws no random number, so every
     later draw is unchanged.
     """
-    trials, n = idem.shape[:2]
+    powers, coef = basis
+    trials, n = coef.shape[:2]
     labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
     labels[:, : min(parts + 1, n)] = np.arange(min(parts + 1, n))
-    return [np.einsum("bi,bijkc->bjkc", (labels == k).astype(float), idem) for k in range(parts)]
+    dealt = [(coef * (labels == k)[..., None]).sum(axis=1) for k in range(parts)]
+    return [_hermitize(_lagrange_polynomial(desc, powers, c)) for c in dealt]
+
+
+def _spectral_basis(desc: AlgebraDescriptor, rng, count):
+    """`jordan._lagrange_basis` of `count` random elements with separated
+    spectra: what `_random_projections` deals from."""
+    return _lagrange_basis(*_separated_spectral_batch(desc, rng, count), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +167,7 @@ def i3_basis_norm_max(desc: AlgebraDescriptor, trials: int, seed=0) -> float:
     worst = 0.0
     for start in range(0, trials, 200):
         count = min(200, trials - start)
-        idem = _separated_spectral_batch(desc, rng, count)
-        parts = _random_projections(rng, idem, parts=3)
+        parts = _random_projections(rng, desc, _spectral_basis(desc, rng, count), 3)
         worst = max(worst, _worst(_interference_dense(desc, *parts)))
     return worst
 
@@ -242,8 +257,8 @@ def _corridor_draw(desc: AlgebraDescriptor, rng, count: int, classical: bool):
         e[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         f[:, idx, idx, 0] = rng.integers(0, 2, (count, n)).astype(float)
         return rho, e, f
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count), 1)
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, count), 1)
+    (e,) = _random_projections(rng, desc, _spectral_basis(desc, rng, count), 1)
+    (f,) = _random_projections(rng, desc, _spectral_basis(desc, rng, count), 1)
     return _random_densities(desc, rng, count), e, f
 
 
@@ -350,8 +365,8 @@ def symmetry_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     `anticommutator_form` (both sides equal e + f - ef - fe).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
+    (e,) = _random_projections(rng, desc, _spectral_basis(desc, rng, trials), 1)
+    (f,) = _random_projections(rng, desc, _spectral_basis(desc, rng, trials), 1)
     defects = _symmetry_defects(e, f, desc)
     return {key: max(_worst(d) for d in arrays) for key, arrays in defects.items()}
 
@@ -378,7 +393,7 @@ def t_structure_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     above 1) and `witness_gap` (T_e e = e, so the norm 1 is attained).
     """
     rng = _rng(seed)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, trials), 1)
+    (e,) = _random_projections(rng, desc, _spectral_basis(desc, rng, trials), 1)
     u_e, u_ec = _u_dense(desc, e), _u_dense(desc, _scale_identity(desc, 1.0) - e)
     t_e = _t_dense(u_e, u_ec)
 
@@ -414,10 +429,10 @@ def lemma_suite(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     """
     rng = _rng(seed)
     one = _scale_identity(desc, 1.0)
-    idem = _separated_spectral_batch(desc, rng, trials)
-    e, f = _random_projections(rng, idem, parts=2)
+    basis = _spectral_basis(desc, rng, trials)  # one set of powers for both dealings
+    e, f = _random_projections(rng, desc, basis, 2)
     x = _random_elements(desc, rng, trials)
-    g1, g2, g3 = _random_projections(rng, idem, parts=3)
+    g1, g2, g3 = _random_projections(rng, desc, basis, 3)
 
     e_f = e + f  # e below e + f, and f orthogonal to e
     u_e, u_f, u_ef = _u_dense(desc, e), _u_dense(desc, f), _u_dense(desc, e_f)

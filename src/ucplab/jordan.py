@@ -10,7 +10,9 @@ matrix and applies it to the right factor with one batched BLAS `@`.  Each
 entry of a matrix product is a sum of products of two scalars, so the same
 code serves every level, the non-associative octonions included.  The
 scalar level is read off the last axis, and a square x o x is the single
-product `_matmul(x, x)`.
+product `_matmul(x, x)`.  A large batch is folded at most
+MATMUL_BLOCK_BYTES of left-multiplication matrices at a time, which bounds
+the kernel's working set and changes no bit of the product.
 
 Eigenvalues come from numpy's Hermitian solver on the real/complex forms
 (quaternions via the 2n x 2n complex adjoint representation) and, for the
@@ -20,8 +22,11 @@ S = (T^2 - trace(x o x)) / 2 and N the Freudenthal determinant; a root
 pair that rounding split is snapped back to the double root.
 Idempotents are Lagrange interpolation polynomials in the element itself,
 which works uniformly at every level because single-element subalgebras are
-associative.  They are sums over the powers of the element centred on its
-mean eigenvalue, and the powers are shared by every idempotent.
+associative.  `_lagrange_basis` gives the powers of the element centred on
+its mean eigenvalue, shared by every idempotent, and per sample the
+coefficients of each idempotent on them.  A sum of idempotents, such as a
+random event, is the one polynomial whose coefficients are the summed rows
+(`_lagrange_polynomial`), so no idempotent of it is formed on its own.
 
 `hermitian_basis` is the orthonormal basis of the Hermitian elements for the
 trace form, and `structure_constants` tabulates the Jordan product over it:
@@ -52,6 +57,9 @@ STATE_TOL = 1e-6
 IDEMPOTENT_TOL = 1e-6
 # `property_battery` checks power-associativity up to this degree.
 MAX_POWER = 8
+# Largest left-multiplication stack L(a) that `_matmul` folds at once:
+# 227 samples at H_3(O), 910 at H_3(H), 2048 at H_4(C).
+MATMUL_BLOCK_BYTES = 1 << 20
 
 
 class DescriptorMismatchError(ValueError):
@@ -120,14 +128,36 @@ def _matmul(a, b):
     (n d) x (n d), and b is laid out as (k, y) x j, so the product is a single
     batched BLAS `@` at every level.  Leading batch axes of a and b broadcast.
 
+    L(a) holds d times as many numbers as a.  Where that exceeds
+    MATMUL_BLOCK_BYTES, the broadcast batch is flattened and folded
+    `_matmul_block` rows at a time, so a large batch never holds L(a) for all
+    of its samples at once.  Each sample's product is the same BLAS call
+    either way, so blocking changes no bit of the result.
+
+    A square needs only this kernel: x o x = (xx + xx) / 2 is `_matmul(x, x)`
+    bit for bit, since (m + m) / 2 = m exactly in floating point.
+    """
+    if a.size * a.shape[-1] * a.itemsize <= MATMUL_BLOCK_BYTES:
+        return _matmul_block(a, b)
+    n, d = a.shape[-2], a.shape[-1]
+    batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    a = np.broadcast_to(a, batch + a.shape[-3:]).reshape((-1, n, n, d))
+    b = np.broadcast_to(b, batch + b.shape[-3:]).reshape((-1, n, n, d))
+    out = np.empty(a.shape, np.result_type(a, b))
+    step = max(1, MATMUL_BLOCK_BYTES // (n * n * d * d * a.itemsize))
+    for start in range(0, len(out), step):
+        out[start : start + step] = _matmul_block(a[start : start + step], b[start : start + step])
+    return out.reshape(batch + (n, n, d))
+
+
+def _matmul_block(a, b):
+    """`_matmul` with L(a) built for the whole batch in one fold.
+
     L(a) comes out of the broadcast `@` in its final layout; building it
     through a (d, d d) reshape and a transpose costs one more L-sized copy.
     The fold reads the structure constants as contiguous (x, y) slices, one
     per z (`_table_zxy`), because it runs several times faster on contiguous
     blocks.
-
-    A square needs only this kernel: x o x = (xx + xx) / 2 is `_matmul(x, x)`
-    bit for bit, since (m + m) / 2 = m exactly in floating point.
     """
     n, d = a.shape[-2], a.shape[-1]
     left = (a[..., :, None, :, :] @ _table_zxy(d)).reshape(a.shape[:-3] + (n * d, n * d))
@@ -261,19 +291,21 @@ def _norm(x, desc: AlgebraDescriptor):
     return np.abs(_eigenvalues_raw(x, desc)).max(axis=-1)
 
 
-def _lagrange_idempotents(x, eigvals, desc):
-    """Idempotent stack (..., m, n, n, d) for m per-sample distinct eigenvalues.
+def _lagrange_basis(x, eigvals, desc):
+    """The Lagrange idempotents of x as (powers, coef): one set of powers
+    shared by every polynomial in x, and per-sample coefficients on them.
 
-    The i-th idempotent is the Lagrange polynomial
-    P_i(t) = prod_{j != i} (t - lam_j) / (lam_i - lam_j) at x.  With s the
-    mean eigenvalue, y = x - s 1 and lam' = lam - s, it is sum_k c_ik y^k,
-    where c_ik are the monomial coefficients of
-    prod_{j != i} (t - lam'_j) / (lam'_i - lam'_j).  Centring keeps the powers
-    of y as small as the spread of the spectrum: on x + 50 1, powers of x
-    itself lose up to 1e-10 to cancellation at H_4(C).  The powers
-    y^2, ..., y^(m-1) are formed once and shared by every idempotent: y^2 =
-    y y is one product, and each higher power one Jordan product with y.
-    The coefficients cost O(m^2) elementwise work per idempotent.
+    The i-th idempotent for m per-sample distinct eigenvalues is the Lagrange
+    polynomial P_i(t) = prod_{j != i} (t - lam_j) / (lam_i - lam_j) at x.
+    With s the mean eigenvalue, y = x - s 1 and lam' = lam - s, it is
+    sum_k coef[..., i, k] y^k, where coef[..., i, :] are the monomial
+    coefficients, lowest degree first, of
+    prod_{j != i} (t - lam'_j) / (lam'_i - lam'_j).  Centring keeps the
+    powers of y as small as the spread of the spectrum: on x + 50 1, powers
+    of x itself lose up to 1e-10 to cancellation at H_4(C).  powers is
+    [y, y^2, ..., y^(m-1)]: y^2 = y y is one product, and each higher power
+    one Jordan product with y.  The coefficients cost O(m^2) elementwise work
+    per idempotent, all idempotents at once.
 
     eigvals must be pairwise well separated in every sample; clustered
     spectra go through spectral_decompose instead.
@@ -282,26 +314,36 @@ def _lagrange_idempotents(x, eigvals, desc):
     shift = eigvals @ np.full(m, 1.0 / m)  # the mean, without a slow short-axis reduction
     lam = eigvals - shift[..., None]
     y = x - _scale_identity(desc, shift)
-    powers = [None, y]
+    powers = [y] if m > 1 else []
     for k in range(2, m):
         powers.append(_matmul(y, y) if k == 2 else _jp(powers[-1], y))
-    parts = []
-    for i in range(m):
-        # t^k coefficients of P_i, lowest degree first, one factor at a time
-        coef = [np.ones(lam.shape[:-1])]
-        for j in range(m):
-            if j != i:
-                inv = 1.0 / (lam[..., i] - lam[..., j])
-                coef = (
-                    [-lam[..., j] * coef[0] * inv]
-                    + [(lo - lam[..., j] * hi) * inv for lo, hi in zip(coef, coef[1:])]
-                    + [coef[-1] * inv]
-                )
-        part = _scale_identity(desc, coef[0])
-        for c, power in zip(coef[1:], powers[1:]):
-            part += c[..., None, None, None] * power
-        parts.append(part)
-    return np.stack(parts, axis=-4)
+    rows = np.arange(m)
+    coef = [np.ones(lam.shape)]
+    for t in range(m - 1):
+        lam_j = lam[..., t + (rows <= t)]  # the t-th j != i of each P_i, ascending
+        inv = 1.0 / (lam - lam_j)
+        coef = (
+            [-lam_j * coef[0] * inv]
+            + [(lo - lam_j * hi) * inv for lo, hi in zip(coef, coef[1:])]
+            + [coef[-1] * inv]
+        )
+    return powers, np.stack(coef, axis=-1)
+
+
+def _lagrange_polynomial(desc, powers, coef):
+    """sum_k coef[..., k] y^k over the shared `powers` [y, y^2, ...] of
+    `_lagrange_basis`; the leading axes of coef broadcast against theirs."""
+    out = _scale_identity(desc, coef[..., 0])
+    for k, power in enumerate(powers, 1):
+        out += coef[..., k, None, None, None] * power
+    return out
+
+
+def _lagrange_idempotents(x, eigvals, desc):
+    """Idempotent stack (..., m, n, n, d) for m per-sample distinct eigenvalues:
+    `_lagrange_polynomial` on every row of the `_lagrange_basis` coefficients."""
+    powers, coef = _lagrange_basis(x, eigvals, desc)
+    return _lagrange_polynomial(desc, [p[..., None, :, :, :] for p in powers], coef)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +520,7 @@ def random_element(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
 
 
 def _separated_spectral_batch(desc, rng, count):
-    """The idempotents (count, n, n, n, d) of random elements with
-    well-separated spectra.
+    """(x, eigenvalues) of `count` random elements with well-separated spectra.
 
     Near-degenerate draws are resampled; they have probability ~0.
     """
@@ -494,19 +535,21 @@ def _separated_spectral_batch(desc, rng, count):
         x[bad] = _random_elements(desc, rng, int(bad.sum()))
     else:
         raise RuntimeError("could not draw a non-degenerate spectrum")
-    return _hermitize(_lagrange_idempotents(x, vals, desc))
+    return x, vals
 
 
 def random_projection(desc: AlgebraDescriptor, rank: int, rng_seed=0) -> AlgebraElement:
-    """Sum of `rank` spectral idempotents of a random element."""
+    """Sum of `rank` spectral idempotents of a random element, evaluated as
+    the one Lagrange polynomial whose coefficients are the picked rows' sum."""
     if rank < 0 or rank > desc.n:
         raise ValueError(f"rank must lie in [0, {desc.n}]")
     if rank == 0:
         return zero(desc)
     rng = _rng(rng_seed)
-    idem = _separated_spectral_batch(desc, rng, 1)
+    powers, coef = _lagrange_basis(*_separated_spectral_batch(desc, rng, 1), desc)
     pick = rng.permutation(desc.n)[:rank]
-    return AlgebraElement(desc, idem[0][pick].sum(axis=0))
+    projection = _lagrange_polynomial(desc, powers, coef[:, pick].sum(axis=1))
+    return AlgebraElement(desc, _hermitize(projection[0]))
 
 
 def random_state_density(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:

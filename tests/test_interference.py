@@ -1,5 +1,7 @@
 """Interference operators, corridor bounds and the identity batteries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ucplab.interference import (
     _corridor_draw,
     _interference_dense,
     _random_projections,
+    _spectral_basis,
     _symmetry_defects,
 )
 from ucplab.jordan import (
@@ -224,7 +227,7 @@ def test_random_projections_deal_every_part_an_idempotent(level, n, parts):
     # every part gets at least one primitive idempotent, so trace >= 1
     desc = AlgebraDescriptor(level, n)
     rng, twin = np.random.default_rng(90), np.random.default_rng(90)
-    projections = _random_projections(rng, _separated_spectral_batch(desc, rng, 200), parts=parts)
+    projections = _random_projections(rng, desc, _spectral_basis(desc, rng, 200), parts)
     assert len(projections) == parts
     for p in projections:
         assert (_trace(p) >= 1 - 1e-9).all()
@@ -245,7 +248,7 @@ def test_random_projections_draw_no_event_zero_or_one(level, n):
     # or 1 makes every identity about it hold trivially
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(91)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 200), 1)
+    (e,) = _random_projections(rng, desc, _spectral_basis(desc, rng, 200), 1)
     assert (_trace(e) >= 1 - 1e-9).all()
     assert (_trace(e) <= n - 1 + 1e-9).all()
 
@@ -256,7 +259,7 @@ def test_interference_dense_matches_written_out_sums(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(80)
     a, b, c = (
-        _random_projections(rng, _separated_spectral_batch(desc, rng, 4), 1)[0] for _ in range(3)
+        _random_projections(rng, desc, _spectral_basis(desc, rng, 4), 1)[0] for _ in range(3)
     )
     u = lambda g: _u_dense(desc, g)  # noqa: E731
     two = u(a + b) - u(a) - u(b)
@@ -324,6 +327,22 @@ def test_corridor_draw_has_no_event_zero_or_one(level, n):
     for event in (e, f):
         assert (_trace(event) >= 1 - 1e-9).all()
         assert (_trace(event) <= n - 1 + 1e-9).all()
+
+
+def test_corridor_chunk_octonions_stays_small():
+    # e, f and the state are one (trials, 3, 3, 8) array each, and `_matmul`
+    # folds at most MATMUL_BLOCK_BYTES of L(a) at once: about 8 MB here.  The
+    # bound catches a per-trial stack of every spectral idempotent and L(a)
+    # folded for the whole chunk, together about 17 MB.
+    desc = AlgebraDescriptor("O", 3)
+    corridor_samples(desc, 2)  # fill the caches before tracing
+    tracemalloc.start()
+    try:
+        corridor_samples(desc, 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("classical", [False, True])
@@ -407,8 +426,8 @@ def test_a1_and_eq10_reject_events_of_another_model():
 def test_symmetry_defects_match_element_oracle(level, n):
     desc = AlgebraDescriptor(level, n)
     rng = np.random.default_rng(21)
-    (e,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50), 1)
-    (f,) = _random_projections(rng, _separated_spectral_batch(desc, rng, 50), 1)
+    (e,) = _random_projections(rng, desc, _spectral_basis(desc, rng, 50), 1)
+    (f,) = _random_projections(rng, desc, _spectral_basis(desc, rng, 50), 1)
     got = _symmetry_defects(e, f, desc)
     expected = element_symmetry_defects(e, f, desc)
     assert list(got) == list(expected)

@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucplab import jordan
+from ucplab.interference import _random_projections, _spectral_basis
 from ucplab.scalars import multiplication_table
 from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     DescriptorMismatchError,
     NonHermitianError,
+    _conj_transpose,
     _cubic_roots,
     _eigenvalues_raw,
+    _hermitize,
     _jp,
     _lagrange_idempotents,
     _matmul,
+    _matmul_block,
     _random_densities,
     _random_elements,
     _scale_identity,
@@ -77,6 +82,16 @@ def product_lagrange_idempotents(x, eigvals, desc):
             acc = np.broadcast_to(_scale_identity(desc, 1.0), x.shape).copy()
         parts.append(acc)
     return np.stack(parts, axis=-4)
+
+
+def stacked_random_projections(rng, x, eigvals, desc, parts):
+    """Oracle for `interference._random_projections`: the hermitized stack
+    of every Lagrange idempotent of x, summed over the same dealt labels."""
+    idem = _hermitize(_lagrange_idempotents(x, eigvals, desc))
+    trials, n = eigvals.shape
+    labels = rng.integers(0, parts + 1, (trials, n))
+    labels[:, : min(parts + 1, n)] = np.arange(min(parts + 1, n))
+    return [np.einsum("bi,bijkc->bjkc", (labels == k).astype(float), idem) for k in range(parts)]
 
 
 def element(level, n, complex_matrix):
@@ -351,7 +366,8 @@ def spectral_draws(desc, kind, count=100, seed=31):
     """
     rng = np.random.default_rng(seed)
     if kind == "small_gap":
-        idem = _separated_spectral_batch(desc, rng, count)
+        x, vals = _separated_spectral_batch(desc, rng, count)
+        idem = _hermitize(_lagrange_idempotents(x, vals, desc))
         lam = np.linspace(-1.0, 1.0, desc.n)
         lam[1] = lam[0] + 1.01e-4 * (1.0 + np.abs(lam).max())
         x = np.einsum("i,bijkc->bjkc", lam, idem)
@@ -384,6 +400,24 @@ def test_power_basis_idempotents(level, n, kind):
         for j in range(i + 1, n):
             assert np.abs(_jp(idem[:, i], idem[:, j])).max() <= defect
     assert np.abs(idem.sum(axis=1) - _scale_identity(desc, 1.0)).max() <= defect
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("level,n", MODELS)
+def test_random_projections_match_the_idempotent_stack(level, n, parts):
+    # each part is one polynomial in the summed coefficient rows; summing
+    # the evaluated idempotents instead moves it only by rounding
+    desc = AlgebraDescriptor(level, n)
+    rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+    got = _random_projections(rng, desc, _spectral_basis(desc, rng, 200), parts)
+    x, vals = _separated_spectral_batch(desc, twin, 200)
+    expected = stacked_random_projections(twin, x, vals, desc, parts)
+    assert len(got) == parts
+    for part, oracle in zip(got, expected):
+        assert part.flags.c_contiguous
+        assert np.array_equal(part, _conj_transpose(part))
+        assert np.abs(part - oracle).max() <= 1e-13
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("rank", ["one", "corank_one"])
@@ -422,6 +456,30 @@ def test_square_is_one_product(level, n, batch):
     desc = AlgebraDescriptor(level, n)
     x = np.random.default_rng(5).standard_normal(batch + (n, n, desc.d))
     assert np.array_equal(_matmul(x, x), _jp(x, x))
+
+
+@pytest.mark.parametrize(
+    "shapes", [((), ()), ((4,), (4,)), ((4, 1), (5,)), ((5,), (4, 1)), ((1000,), (1000,))]
+)
+@pytest.mark.parametrize("level,n", MODELS)
+def test_blocked_matmul_is_bit_identical(monkeypatch, level, n, shapes):
+    # a budget below one sample folds L(a) one broadcast sample at a time
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(7)
+    a, b = (rng.standard_normal(shape + (n, n, desc.d)) for shape in shapes)
+    whole = _matmul_block(a, b)
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return _matmul_block(a, b)
+
+    monkeypatch.setattr(jordan, "MATMUL_BLOCK_BYTES", 1)
+    monkeypatch.setattr(jordan, "_matmul_block", counted)
+    blocked = _matmul(a, b)
+    assert calls == [1] * math.prod(whole.shape[:-3])
+    assert blocked.shape == whole.shape
+    assert np.array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
