@@ -48,7 +48,6 @@ from .jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     _from_coords,
-    _hermitize,
     _inner,
     _jp,
     _lagrange_polynomial,
@@ -104,7 +103,10 @@ def _random_projections(rng, desc: AlgebraDescriptor, basis, parts):
 
     A part is the one Lagrange polynomial whose coefficients are the sum of
     the rows dealt to it, so no idempotent is formed on its own; each part
-    comes back as its own contiguous, hermitized array.
+    comes back as its own contiguous array.  The powers are Jordan products
+    of exactly Hermitian elements, so every part is a sum of scalar multiples
+    of exactly Hermitian arrays and is exactly Hermitian itself, with no
+    hermitize step.
 
     The idempotents come in eigenvalue order, but the eigenvectors of these
     invariant random elements do not depend on their eigenvalues, so
@@ -116,7 +118,7 @@ def _random_projections(rng, desc: AlgebraDescriptor, basis, parts):
     labels = rng.integers(0, parts + 1, (trials, n))  # bin `parts` = leftover
     labels[:, : min(parts + 1, n)] = np.arange(min(parts + 1, n))
     dealt = [(coef * (labels == k)[..., None]).sum(axis=1) for k in range(parts)]
-    return [_hermitize(_lagrange_polynomial(desc, powers, c)) for c in dealt]
+    return [_lagrange_polynomial(desc, powers, c) for c in dealt]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hermitian matrix Jordan algebras H_n(R/C/H) and the exceptional H_3(O).
+"""Hermitian matrix Jordan algebras H_n(R/C/H), H_2(O) and the exceptional H_3(O).
 
 Elements are stored as real coordinate arrays of shape (n, n, d) where d is
 the Cayley-Dickson dimension of the scalar ring.  All kernels accept extra
@@ -9,17 +9,26 @@ and the structure constants into a real (n d) x (n d) left-multiplication
 matrix and applies it to the right factor with one batched BLAS `@`.  Each
 entry of a matrix product is a sum of products of two scalars, so the same
 code serves every level, the non-associative octonions included.  The
-scalar level is read off the last axis, and a square x o x is the single
-product `_matmul(x, x)`.  A large batch is folded at most
+scalar level is read off the last axis.  A large batch is folded at most
 MATMUL_BLOCK_BYTES of left-multiplication matrices at a time, which bounds
 the kernel's working set and changes no bit of the product.
 
-Eigenvalues come from numpy's Hermitian solver on the real/complex forms
-(quaternions via the 2n x 2n complex adjoint representation) and, for the
-octonionic algebra, from the characteristic cubic
-lambda^3 - T lambda^2 + S lambda - N = 0 with T the trace,
-S = (T^2 - trace(x o x)) / 2 and N the Freudenthal determinant; a root
-pair that rounding split is snapped back to the double root.
+A Jordan product is the Hermitian part of one `_matmul`: for Hermitian x and
+y, yx = (xy)^dagger at every level, since conjugation reverses products in
+the octonions too, so x o y = (xy + yx) / 2 = (xy + (xy)^dagger) / 2.  It is
+exactly Hermitian, bit for bit, and so is every sum, scalar multiple and
+Jordan product of exactly Hermitian arrays; no caller hermitizes them again.
+
+Eigenvalues take one of three routes.  At n = 2, every level, they are the
+closed form (a + b) / 2 -/+ hypot((a - b) / 2, |w|) of the diagonal entries
+a, b and the off-diagonal entry w.  In H_3(O) they are the roots of the
+characteristic cubic lambda^3 - T lambda^2 + S lambda - N = 0 with T the
+trace, S = (T^2 - <x, x>) / 2 (trace(x o x) is the coordinate dot <x, x>)
+and N the Freudenthal determinant; a root pair that rounding split is
+snapped back to the double root.  Everything else goes to numpy's Hermitian
+solver on the real/complex forms, quaternions via the 2n x 2n complex
+adjoint representation.
+
 Idempotents are Lagrange interpolation polynomials in the element itself,
 which works uniformly at every level because single-element subalgebras are
 associative.  `_lagrange_basis` gives the powers of the element centred on
@@ -86,8 +95,8 @@ class AlgebraDescriptor:
             raise ValueError(f"unknown level {self.level!r}")
         if self.n < 1:
             raise ValueError("matrix size must be >= 1")
-        if self.level == "O" and self.n != 3:
-            raise ValueError("octonionic entries require 3x3 matrices")
+        if self.level == "O" and self.n not in (2, 3):
+            raise ValueError("octonionic entries require 2x2 or 3x3 matrices")
 
     @property
     def d(self) -> int:
@@ -133,9 +142,6 @@ def _matmul(a, b):
     `_matmul_block` rows at a time, so a large batch never holds L(a) for all
     of its samples at once.  Each sample's product is the same BLAS call
     either way, so blocking changes no bit of the result.
-
-    A square needs only this kernel: x o x = (xx + xx) / 2 is `_matmul(x, x)`
-    bit for bit, since (m + m) / 2 = m exactly in floating point.
     """
     if a.size * a.shape[-1] * a.itemsize <= MATMUL_BLOCK_BYTES:
         return _matmul_block(a, b)
@@ -176,7 +182,13 @@ def _hermitize(a):
 
 
 def _jp(a, b):
-    return 0.5 * (_matmul(a, b) + _matmul(b, a))
+    """Jordan product a o b = (ab + ba) / 2 of Hermitian a and b, as the
+    Hermitian part of the one product ab (ba = (ab)^dagger).
+
+    a and b must be Hermitian: on other arrays this is not (ab + ba) / 2.
+    The result is exactly Hermitian.
+    """
+    return _hermitize(_matmul(a, b))
 
 
 def _trace(a):
@@ -270,6 +282,11 @@ def _cubic_roots(t, s, n):
 
 def _eigenvalues_raw(x, desc: AlgebraDescriptor):
     """Eigenvalues (..., n), ascending, of Hermitian coordinate arrays."""
+    if desc.n == 2:
+        mid = 0.5 * (x[..., 0, 0, 0] + x[..., 1, 1, 0])
+        half_gap = 0.5 * (x[..., 0, 0, 0] - x[..., 1, 1, 0])
+        radius = np.hypot(half_gap, np.sqrt((x[..., 0, 1, :] ** 2).sum(axis=-1)))
+        return np.stack([mid - radius, mid + radius], axis=-1)
     if desc.level == "R":
         return np.linalg.eigvalsh(x[..., 0])
     if desc.level == "C":
@@ -280,8 +297,7 @@ def _eigenvalues_raw(x, desc: AlgebraDescriptor):
         return pairs.mean(axis=-1)
     # octonionic: characteristic cubic of the Albert algebra
     t = _trace(x)
-    x2 = _matmul(x, x)
-    s = 0.5 * (t**2 - _trace(x2))
+    s = 0.5 * (t**2 - _inner(x, x))
     n = _freudenthal_det(x)
     return _cubic_roots(t, s, n)
 
@@ -303,9 +319,9 @@ def _lagrange_basis(x, eigvals, desc):
     prod_{j != i} (t - lam'_j) / (lam'_i - lam'_j).  Centring keeps the
     powers of y as small as the spread of the spectrum: on x + 50 1, powers
     of x itself lose up to 1e-10 to cancellation at H_4(C).  powers is
-    [y, y^2, ..., y^(m-1)]: y^2 = y y is one product, and each higher power
-    one Jordan product with y.  The coefficients cost O(m^2) elementwise work
-    per idempotent, all idempotents at once.
+    [y, y^2, ..., y^(m-1)], each power one Jordan product with y.  The
+    coefficients cost O(m^2) elementwise work per idempotent, all
+    idempotents at once.
 
     eigvals must be pairwise well separated in every sample; clustered
     spectra go through spectral_decompose instead.
@@ -316,7 +332,7 @@ def _lagrange_basis(x, eigvals, desc):
     y = x - _scale_identity(desc, shift)
     powers = [y] if m > 1 else []
     for k in range(2, m):
-        powers.append(_matmul(y, y) if k == 2 else _jp(powers[-1], y))
+        powers.append(_jp(powers[-1], y))
     rows = np.arange(m)
     coef = [np.ones(lam.shape)]
     for t in range(m - 1):
@@ -401,9 +417,18 @@ def zero(desc: AlgebraDescriptor) -> AlgebraElement:
     return AlgebraElement(desc, np.zeros((desc.n, desc.n, desc.d)))
 
 
+def _require_hermitian(*elements):
+    """Raise NonHermitianError unless every element is Hermitian to within
+    1e-8 (1 + max |entry|), the precondition of `_jp` and of the spectra."""
+    for x in elements:
+        if not x.is_hermitian(1e-8 * (1.0 + np.abs(x.entries).max())):
+            raise NonHermitianError("expected a Hermitian element")
+
+
 def jordan_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """x o y = (xy + yx) / 2 with the matrix product over the scalar ring."""
     x._check(y)
+    _require_hermitian(x, y)
     return AlgebraElement(x.descriptor, _jp(x.entries, y.entries))
 
 
@@ -417,7 +442,9 @@ def inner(x: AlgebraElement, y: AlgebraElement) -> float:
 
 
 def is_idempotent(e: AlgebraElement, tol=IDEMPOTENT_TOL) -> bool:
-    diff = _matmul(e.entries, e.entries) - e.entries
+    """|e o e - e| <= tol (1 + max |e|) entrywise.  e o e is Hermitian, so an
+    element that is not Hermitian to that tolerance is no idempotent either."""
+    diff = _jp(e.entries, e.entries) - e.entries
     return bool(np.abs(diff).max() <= tol * (1.0 + np.abs(e.entries).max()))
 
 
@@ -448,8 +475,7 @@ def _compress(desc, e, x) -> AlgebraElement:
 
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
-    if not x.is_hermitian(1e-8 * (1.0 + np.abs(x.entries).max())):
-        raise NonHermitianError("spectral data needs a Hermitian element")
+    _require_hermitian(x)
     return _eigenvalues_raw(x.entries, x.descriptor)
 
 
@@ -507,7 +533,7 @@ def _random_densities(desc, rng, count):
     scaled; x = 0 has probability 0, so no draw is rejected.
     """
     x = _random_elements(desc, rng, count)
-    sq = _matmul(x, x)
+    sq = _jp(x, x)
     return sq / _trace(sq)[:, None, None, None]
 
 
@@ -551,7 +577,7 @@ def random_projection(desc: AlgebraDescriptor, rank: int, rng_seed=0) -> Algebra
     powers, coef = _spectral_basis(desc, rng, 1)
     pick = rng.permutation(desc.n)[:rank]
     projection = _lagrange_polynomial(desc, powers, coef[:, pick].sum(axis=1))
-    return AlgebraElement(desc, _hermitize(projection[0]))
+    return AlgebraElement(desc, projection[0])
 
 
 def random_state_density(desc: AlgebraDescriptor, rng_seed=0) -> AlgebraElement:
@@ -662,7 +688,7 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
 
     powers = [None, x]
     for k in range(2, MAX_POWER + 1):
-        powers.append(_matmul(x, x) if k == 2 else _jp(powers[-1], x))
+        powers.append(_jp(powers[-1], x))
 
     res = {}
     worst = 0.0
@@ -676,13 +702,13 @@ def property_battery(desc: AlgebraDescriptor, trials: int, seed=0) -> dict:
     rhs = _jp(sq, _jp(y, x))
     res["jordan_identity"] = float(np.abs(lhs - rhs).max())
 
-    sq_eigs = _eigenvalues_raw(_matmul(y, y), desc)
+    sq_eigs = _eigenvalues_raw(_jp(y, y), desc)
     res["squares_positive"] = max(0.0, -float(sq_eigs.min()))
 
     x_norm = _norm(x, desc)
     res["square_norm_law"] = float(np.abs(_norm(sq, desc) - x_norm**2).max())
 
-    xy_norm = _norm(_hermitize(_jp(x, y)), desc)
+    xy_norm = _norm(_jp(x, y), desc)
     res["norm_submultiplicative"] = max(0.0, float((xy_norm - x_norm * _norm(y, desc)).max()))
 
     return res

@@ -73,6 +73,7 @@ def _orthogonal(a, b) -> bool:
 def orthogonal(e: AlgebraElement, f: AlgebraElement) -> bool:
     """Events are orthogonal iff e + f is again an event, i.e. e o f = 0."""
     e._check(f)
+    jordan._require_hermitian(e, f)
     return _orthogonal(e.entries, f.entries)
 
 

@@ -110,6 +110,25 @@ def test_corridor_csv_shape(capsys):
     assert all(r[2] == "True" and r[3] == "True" for r in rows[1:])
 
 
+def test_octonionic_2x2_model_verifies_and_stays_in_the_corridor(capsys):
+    # H_2(O) is a Jordan algebra; it runs every check of H_2(H) but the
+    # associative anticommutator form, as H_3(O) does
+    code, out = run(capsys, "verify", "--algebra", "O", "--dim", "2", "--trials", "200")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert all(c["pass"] and c["tolerance"] == 1e-9 for c in report["checks"])
+    _, out = run(capsys, "verify", "--algebra", "H", "--dim", "2", "--trials", "3")
+    quaternion_ids = [c["id"] for c in json.loads(out)["checks"]]
+    quaternion_ids.remove("event-symmetry.anticommutator_form")
+    assert [c["id"] for c in report["checks"]] == quaternion_ids
+    code, out = run(capsys, "corridor", "--algebra", "O", "--dim", "2", "--trials", "500", "--seed", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 500
+    assert float(rows[0][0]) == 0.5 and float(rows[0][1]) == 1.0
+    assert all(r[2:5] == ["True", "True", "O2"] for r in rows)
+
+
 def csv_oracle(rows, model, seed):
     """The corridor CSV as `csv.writer` writes it."""
     buffer = io.StringIO()

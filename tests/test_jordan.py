@@ -19,12 +19,14 @@ from ucplab.jordan import (
     _conj_transpose,
     _cubic_roots,
     _eigenvalues_raw,
+    _freudenthal_det,
     _hermitize,
     _jp,
     _lagrange_basis,
     _lagrange_polynomial,
     _matmul,
     _matmul_block,
+    _quat_adjoint,
     _random_densities,
     _random_elements,
     _scale_identity,
@@ -32,6 +34,7 @@ from ucplab.jordan import (
     _spectral_basis,
     _table_zxy,
     _to_complex,
+    _trace,
     coords,
     eigenvalues,
     from_coords,
@@ -115,10 +118,12 @@ def element(level, n, complex_matrix):
     return AlgebraElement(AlgebraDescriptor(level, n), entries)
 
 
-def test_descriptor_rejects_octonions_off_three():
+def test_descriptor_admits_octonions_at_two_and_three_only():
+    AlgebraDescriptor("O", 2)
     AlgebraDescriptor("O", 3)
-    with pytest.raises(ValueError):
-        AlgebraDescriptor("O", 2)
+    for n in (1, 4):
+        with pytest.raises(ValueError):
+            AlgebraDescriptor("O", n)
     with pytest.raises(ValueError):
         AlgebraDescriptor("X", 3)
 
@@ -132,6 +137,27 @@ def test_jordan_product_hand_oracle():
     expected = np.array([[0.5, 0.25], [0.25, 0.0]])
     assert np.allclose(prod.entries[..., 0], expected, atol=1e-15)
     assert np.allclose(prod.entries[..., 1], 0.0, atol=1e-15)
+
+
+def two_product_jp(a, b):
+    """Oracle for `_jp`: the Jordan product as (ab + ba) / 2, two products."""
+    return 0.5 * (_matmul(a, b) + _matmul(b, a))
+
+
+@pytest.mark.parametrize("level,n", MODELS)
+def test_jordan_product_needs_hermitian_factors(level, n):
+    # on Hermitian factors the one-product form is (xy + yx) / 2; on others
+    # it is not, so they are rejected
+    desc = AlgebraDescriptor(level, n)
+    x, y = random_element(desc, rng_seed=21), random_element(desc, rng_seed=22)
+    expected = two_product_jp(x.entries, y.entries)
+    assert np.abs(jordan_product(x, y).entries - expected).max() <= 1e-14
+    entries = x.entries.copy()
+    entries[0, 1, 0] += 1e-3  # now x01 != conj(x10)
+    skew = AlgebraElement(desc, entries)
+    for args in ((skew, y), (y, skew)):
+        with pytest.raises(NonHermitianError):
+            jordan_product(*args)
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,10 +489,91 @@ def test_cubic_roots_near_a_double_root(split):
 @pytest.mark.parametrize("level,n", MODELS)
 @pytest.mark.parametrize("batch", [(), (4,), (4, 1)])
 def test_square_is_one_product(level, n, batch):
-    # x o x = (xx + xx) / 2 is the single product xx bit for bit
+    # x o x is the Hermitian part of the single product xx, exactly Hermitian
     desc = AlgebraDescriptor(level, n)
-    x = np.random.default_rng(5).standard_normal(batch + (n, n, desc.d))
-    assert np.array_equal(_matmul(x, x), _jp(x, x))
+    x = _hermitize(np.random.default_rng(5).standard_normal(batch + (n, n, desc.d)))
+    out = _jp(x, x)
+    assert np.array_equal(out, _hermitize(_matmul(x, x)))
+    assert np.array_equal(out, _conj_transpose(out))
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((4,), (4,)), ((4, 1), (5,)), ((5,), (4, 1))])
+@pytest.mark.parametrize("level,n", MODELS)
+def test_jp_matches_two_product_oracle(level, n, shapes):
+    # ba = (ab)^dagger for Hermitian a and b, so one product is enough; the
+    # two forms differ only by the rounding of the second product
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(11)
+    a, b = (_hermitize(rng.standard_normal(shape + (n, n, desc.d))) for shape in shapes)
+    got = _jp(a, b)
+    expected = two_product_jp(a, b)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(expected).max()
+    assert np.array_equal(got, _conj_transpose(got))
+
+
+def numpy_eigenvalues(x, level):
+    """Oracle for the closed-form n = 2 spectra: numpy's Hermitian solver on
+    the real, complex or quaternionic (2n x 2n complex adjoint) form."""
+    if level == "R":
+        return np.linalg.eigvalsh(x[..., 0])
+    if level == "C":
+        return np.linalg.eigvalsh(_to_complex(x))
+    return np.linalg.eigvalsh(_quat_adjoint(x))[..., ::2]
+
+
+def two_by_two_draws(desc, kind, count=200, seed=41):
+    rng = np.random.default_rng(seed)
+    if kind == "multiple_of_one":
+        return _scale_identity(desc, rng.standard_normal(count))
+    if kind == "rank_one":
+        x, vals = _separated_spectral_batch(desc, rng, count)
+        return row_idempotents(x, vals, desc)[:, 0]
+    x = _random_elements(desc, rng, count)
+    return x + _scale_identity(desc, 50.0) if kind == "shifted" else x
+
+
+@pytest.mark.parametrize("kind", ["random", "shifted", "multiple_of_one", "rank_one"])
+@pytest.mark.parametrize("level", ["R", "C", "H"])
+def test_two_by_two_eigenvalues_match_numpy(level, kind):
+    desc = AlgebraDescriptor(level, 2)
+    x = two_by_two_draws(desc, kind)
+    got = _eigenvalues_raw(x, desc)
+    expected = numpy_eigenvalues(x, level)
+    tol = 8 * np.finfo(float).eps * (1.0 + np.abs(expected).max())
+    assert np.abs(got - expected).max() <= tol
+    assert (np.diff(got, axis=-1) >= 0).all()
+    if kind == "multiple_of_one":
+        assert np.array_equal(got, x[:, [0, 0], 0, 0])
+    # O2 on the quaternion coordinates alone is the same matrix over H
+    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (8 - desc.d,))], axis=-1)
+    assert np.abs(_eigenvalues_raw(padded, AlgebraDescriptor("O", 2)) - expected).max() <= tol
+
+
+def test_octonionic_cubic_s_is_the_trace_of_the_square():
+    # S = (T^2 - trace(x o x)) / 2 with trace(x o x) read as <x, x>
+    desc = AlgebraDescriptor("O", 3)
+    x = _random_elements(desc, np.random.default_rng(43), 500)
+    t = _trace(x)
+    old_s = 0.5 * (t**2 - _trace(_matmul(x, x)))
+    new_s = 0.5 * (t**2 - np.einsum("...ijc,...ijc->...", x, x))
+    assert np.abs(new_s - old_s).max() <= 8 * np.finfo(float).eps * np.abs(old_s).max()
+    roots = _cubic_roots(t, old_s, _freudenthal_det(x))
+    assert np.abs(_eigenvalues_raw(x, desc) - roots).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", [7, 200])
+@pytest.mark.parametrize("level,n", MODELS)
+def test_jp_and_eigenvalues_are_batch_invariant(level, n, size):
+    # 1000 samples in sub-batches of `size` give the bits of one batch
+    desc = AlgebraDescriptor(level, n)
+    rng = np.random.default_rng(47)
+    a, b = (_random_elements(desc, rng, 1000) for _ in range(2))
+    chunks = range(0, 1000, size)
+    split_jp = np.concatenate([_jp(a[i : i + size], b[i : i + size]) for i in chunks])
+    assert np.array_equal(split_jp, _jp(a, b))
+    split_eig = np.concatenate([_eigenvalues_raw(a[i : i + size], desc) for i in chunks])
+    assert np.array_equal(split_eig, _eigenvalues_raw(a, desc))
 
 
 @pytest.mark.parametrize(

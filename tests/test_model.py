@@ -9,6 +9,7 @@ from ucplab.jordan import (
     AlgebraDescriptor,
     AlgebraElement,
     DescriptorMismatchError,
+    NonHermitianError,
     NotIdempotentError,
     identity,
     is_positive,
@@ -160,6 +161,15 @@ def test_orthogonality_and_complement():
     assert orthogonal(e, f)
     assert not orthogonal(e, e)
     assert np.allclose(complement(e).entries, diag_element("R", 3, [0.0, 1.0, 1.0]).entries)
+
+
+def test_orthogonality_rejects_non_hermitian():
+    # e o f is the Hermitian part of one product, which needs Hermitian factors
+    e = diag_element("R", 3, [1.0, 0.0, 0.0])
+    skew = e.entries.copy()
+    skew[0, 1, 0] = 1.0
+    with pytest.raises(NonHermitianError):
+        orthogonal(e, AlgebraElement(e.descriptor, skew))
 
 
 @pytest.mark.parametrize("level,n", MODELS)
