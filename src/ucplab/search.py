@@ -5,7 +5,7 @@ enumeration produces pastings where distinct blocks overlap in at most one
 atom (so no block contains another), one representative per atom-relabeling
 class, in a deterministic order.  It is an orderly generator: a
 depth-first walk over sorted block tuples that keeps only tuples that are
-their own least relabeling, which a backtracking search over partial
+their own least relabeling, which a block-by-block search over partial
 relabelings decides, so no class is built twice and no loop over all n!
 relabelings runs.  The overlap rule does not keep atoms distinct: in
 [[1,2],[1,3]] atoms 2 and 3 are both the complement of atom 1, so the
@@ -54,57 +54,70 @@ class SearchConfig:
 def _is_least(form, n_atoms):
     """Is the sorted block tuple its own lexicographically least relabeling?
 
-    Backtracks over relabelings, giving labels 1, 2, ... to one atom at a
-    time.  With labels 1..k given, a block's image is its known labels
-    followed by labels above k for its other atoms, so known + (k+1, k+2,
-    ...) is a lower bound of every completed image of that block, and the
-    sorted list of these bounds is a lower bound of every completed image
-    of the form.  A branch whose bound is >= form holds no smaller image
-    and is dropped; the form is not least once a complete labeling gives a
-    smaller image.  Atoms that lie in the same blocks are interchangeable,
-    so each step tries one atom per set of blocks.
+    Builds the sorted image one block at a time.  The atoms labeled so far
+    form cells: sets of atoms on a contiguous label range whose order
+    inside the range is not yet decided.  Every placed block is a union of
+    cells, so that order changes no placed block's image.  An unplaced
+    block b then has a least image at the next place t: its atoms in each
+    cell take the lowest labels of the cell, and its unlabeled atoms take
+    the next free labels.  If that image is below form[t], some relabeling
+    gives a smaller form (by the insertion step of the prefix claim in
+    `enumerate_logics`); if it is above, b cannot go at place t.  If it
+    equals form[t], only one refinement of the cells gives it: each cell
+    splits into its atoms in b, first, and the rest, and b's unlabeled
+    atoms become a new cell.  So the search branches over which block
+    comes next, never over label orders, and a relabeling with a smaller
+    image is found along the blocks it maps onto form[0], form[1], ....
+
+    Two unplaced blocks that meet the labeled atoms in the same set, and
+    whose other atoms lie in no other block, are swapped by a relabeling
+    that fixes every cell and every other block, so only the first of
+    them is tried.  Atoms and images are bit masks (`_bits`).  Of two
+    sorted tuples, the one holding the least element d of their symmetric
+    difference is the smaller, unless the other one has no element above
+    d and so is a proper prefix of it.  Atoms in no block take the last
+    labels of every least image, so n_atoms does not enter the test.
     """
-    form = list(form)
-    blocks_of = [[] for _ in range(n_atoms + 1)]
-    for i, block in enumerate(form):
-        for a in block:
-            blocks_of[a].append(i)
-    blocks_of = [tuple(where) for where in blocks_of]
-    return not _smaller_below(form, blocks_of, [[] for _ in form], [True] * (n_atoms + 1), 0)
+    masks = [_bits(b) for b in form]
+    seen = shared = 0
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    return not _smaller_image(masks, shared, masks, [], 0)
 
 
-def _smaller_below(form, blocks_of, known, free, depth):
-    """Does some completion of the labels 1..depth give an image < form?
+def _smaller_image(form, shared, unplaced, cells, labeled):
+    """Does a relabeling that maps the placed blocks onto the first entries
+    of form, within the cells, map some unplaced block below the next one?
 
-    known[i] lists the labels given to block i's atoms, in the order given,
-    which is ascending; free[a] says atom a has no label yet (entry 0 is
-    unused, as is blocks_of[0]).
+    form and unplaced hold bit masks; cells lists the cell masks in label
+    order, labeled is their union, and shared holds the atoms that lie in
+    more than one block.
     """
-    bound = sorted(
-        [
-            tuple(part + list(range(depth + 1, depth + 1 + len(block) - len(part))))
-            for part, block in zip(known, form)
-        ]
-    )
-    if bound >= form:
+    if not unplaced:
         return False
-    if depth == len(free) - 1:
-        return True
-    label = depth + 1
+    target = form[len(form) - len(unplaced)]
     tried = set()
-    for atom in range(1, len(free)):
-        where = blocks_of[atom]
-        if not free[atom] or where in tried:
+    for i, block in enumerate(unplaced):
+        image, low = 0, 1
+        for cell in cells:
+            image |= ((1 << (cell & block).bit_count()) - 1) << low
+            low += cell.bit_count()
+        new = block & ~labeled
+        image |= ((1 << new.bit_count()) - 1) << low
+        differ = image ^ target
+        if differ:
+            d = differ & -differ
+            if target >= 2 * d if image & d else image < d:
+                return True
             continue
-        tried.add(where)
-        free[atom] = False
-        for i in where:
-            known[i].append(label)
-        found = _smaller_below(form, blocks_of, known, free, label)
-        for i in where:
-            known[i].pop()
-        free[atom] = True
-        if found:
+        if not new & shared:
+            if block & labeled in tried:
+                continue
+            tried.add(block & labeled)
+        split = [part for cell in [*cells, new] for part in (cell & block, cell & ~block) if part]
+        rest = unplaced[:i] + unplaced[i + 1 :]
+        if _smaller_image(form, shared, rest, split, labeled | block):
             return True
     return False
 
@@ -138,6 +151,20 @@ def enumerate_logics(config: SearchConfig):
     at some place j <= i with X < Q[j] <= P[j] = F[j] and the entries
     before it equal F's.  Either way pi(F) < F.  Induction on k covers
     shorter prefixes.
+
+    Claim.  A least form meets its atoms in label order: the blocks
+    B1..Bj together hold the atoms 1..m for some m, for every j.
+    Proof.  Otherwise take the first Bt whose new atoms a1 < a2 < ... are
+    not m + 1, m + 2, ..., where B1..B(t-1) hold 1..m, and the first ai
+    that is not m + i.  The atom m + i is not in Bt, so swapping it with
+    ai fixes B1..B(t-1) and maps Bt to a smaller block X.  The image then
+    holds B1..B(t-1), and its least other block is at most X < Bt; as in
+    the first proof, inserting that block into B1..B(t-1) shows that the
+    image is below F.
+
+    The rule passes to prefixes, so the walk skips every candidate whose
+    union with the chosen blocks is not a run of bits from bit 1 (x + 2
+    and x share no bit) before it runs the least test.
     """
     top = config.block_size_max or config.max_atoms
     results = []
@@ -153,15 +180,16 @@ def enumerate_logics(config: SearchConfig):
             form, chosen, covered, start = stack.pop()
             for j in range(start, len(candidates)):
                 mask = masks[j]
-                if any([(mask & c).bit_count() > 1 for c in chosen]):
+                reach = covered | mask
+                if (reach + 2) & reach or any([(mask & c).bit_count() > 1 for c in chosen]):
                     continue
                 grown = form + (candidates[j],)
                 if not _is_least(grown, n):
                     continue
-                if covered | mask == everything:
+                if reach == everything:
                     results.append((n, grown))
                 if len(grown) < config.max_blocks:
-                    stack.append((grown, [*chosen, mask], covered | mask, j + 1))
+                    stack.append((grown, [*chosen, mask], reach, j + 1))
     results.sort()
     return results
 

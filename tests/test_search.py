@@ -99,8 +99,10 @@ def test_enumerate_matches_canonical_form_oracle(config):
     assert enumerate_logics(config) == oracle_enumerate(config)
 
 
-# sha256 of json.dumps(enumerate_logics(config)), computed with the n! scan
-# over every relabeling, beyond the reach of the oracle above
+# sha256 of json.dumps(enumerate_logics(config)), beyond the reach of the
+# oracle above.  The 8- and 9-atom digests were computed with the n! scan
+# over every relabeling, the larger ones with the orderly generator that
+# decided leastness atom by atom, before the block-by-block least test
 PINNED_ENUMERATIONS = {
     SearchConfig(8, 4, 3, 3): (
         13,
@@ -109,6 +111,18 @@ PINNED_ENUMERATIONS = {
     SearchConfig(9, 4, 3, 3): (
         19,
         "1385d993f18aa219f5ad02f191045293b70e47190f679c8689bc8286e05d1026",
+    ),
+    SearchConfig(10, 5, 3, 3): (
+        54,
+        "2355720d82bbf7402c9d9c98805058a91f791462da1ad3a442872ecb2d344953",
+    ),
+    SearchConfig(12, 6, 3, 3): (
+        288,
+        "992fb4eaa14eda80522690285f72aba75071af43a980a498e051865211b299bb",
+    ),
+    SearchConfig(13, 5, 4, 4): (
+        37,
+        "15613097542b4303fd2f6436ec6d5b2be8081a80b0ea890bc8209fee10bee48c",
     ),
 }
 
@@ -136,6 +150,47 @@ def _block_lists(draw):
 def test_least_test_matches_the_canonical_form(case):
     form, n_atoms = case
     assert search._is_least(form, n_atoms) == (_canonical_form(form, n_atoms) == form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_lists())
+def test_a_least_form_meets_its_atoms_in_label_order(case):
+    # the lemma behind the enumeration's first-occurrence pruning: reading
+    # the least relabeling block by block, each new atom is the next label
+    form, n_atoms = case
+    covered = set()
+    for block in _canonical_form(form, n_atoms):
+        covered |= set(block)
+        assert covered == set(range(1, len(covered) + 1))
+
+
+def _star(size, count):
+    """count blocks of size atoms that share atom 1 and nothing else."""
+    return tuple((1, *range(2 + (size - 1) * i, 2 + (size - 1) * (i + 1))) for i in range(count))
+
+
+def _disjoint(size, count):
+    """count blocks of size atoms that share no atom."""
+    return tuple(tuple(range(1 + size * i, 1 + size * (i + 1))) for i in range(count))
+
+
+# forms on which many unplaced blocks tie with the next block of the form,
+# too large for the n! scan but with known answers: a star or a set of
+# disjoint blocks of one size is least, and Wright's pentagon labeled
+# around its cycle is not, as its least form starts (1, 2, 3), (1, 4, 5)
+SYMMETRIC_FORMS = {
+    "star of 6 triples": (_star(3, 6), 13, True),
+    "6 disjoint triples": (_disjoint(3, 6), 18, True),
+    "7 disjoint pairs": (_disjoint(2, 7), 14, True),
+    "star of 8 pairs": (_star(2, 8), 9, True),
+    "pentagon relabeled": (((1, 2, 3), (1, 9, 10), (3, 4, 5), (5, 6, 7), (7, 8, 9)), 10, False),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_FORMS)
+def test_least_test_on_symmetric_forms(name):
+    form, n_atoms, least = SYMMETRIC_FORMS[name]
+    assert search._is_least(form, n_atoms) is least
 
 
 def test_enumerate_zero_atoms_is_empty():
@@ -409,8 +464,9 @@ def test_workflow_digests_are_the_pinned_ones():
     text = WORKFLOW.read_text()
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
     assert len(digests) >= 3
+    pinned = {*PINNED_JSONL.values(), *[d for _, d in PINNED_ENUMERATIONS.values()], PENTAGON_SHA256}
     for digest in digests:
-        assert digest in PINNED_JSONL.values() or digest == PENTAGON_SHA256
+        assert digest in pinned
     # the job writes the pentagon file that PENTAGON_SHA256 is the record of
     assert "printf '" + PENTAGON_TEXT.replace("\n", "\\n") + "'" in text
 
@@ -506,6 +562,6 @@ def test_os3_fails_exactly_on_proper_pastings_with_a_3_loop():
             assert report.passed != loop, (blocks, report)
             assert report.passed or report.axiom == "OS3", (blocks, report)
             tally[loop] += 1
-    # both sides of the lemma are reached: 108 proper pastings, counted once
+    # both sides of the lemma are reached: 459 proper pastings, counted once
     # per configuration; 2-atom blocks give none
-    assert tally == {True: 44, False: 64}
+    assert tally == {True: 307, False: 152}
